@@ -47,6 +47,18 @@ pub const MAX_POSITION: u32 = (1 << POS_BITS) - 1;
 /// with an improving (or even zero) delta.
 pub const EMPTY_KEY: u64 = u64::MAX;
 
+/// `delta` clamped to the range a key can encode: `pack(d, i, j) ==
+/// pack(saturate_delta(d), i, j)` for every `d`, so keys sharing a `j`
+/// order exactly like `(saturate_delta(d), i)` — which lets a scan find
+/// a row's best key with a plain `i32` minimum.
+#[inline(always)]
+pub(crate) fn saturate_delta(delta: i32) -> i32 {
+    delta.clamp(
+        -(DELTA_BIAS as i32),
+        (DELTA_MASK as i64 - DELTA_BIAS) as i32,
+    )
+}
+
 /// Pack a move into its atomic-min key.
 #[inline(always)]
 pub fn pack(delta: i32, i: u32, j: u32) -> u64 {

@@ -27,7 +27,7 @@
 use crate::bestmove::{pack, EMPTY_KEY};
 use crate::cpu_model::BYTES_PER_CHECK;
 use crate::delta::FLOPS_PER_CHECK;
-use gpu_sim::{AtomicDeviceBuffer, DeviceBuffer, Kernel, ThreadCtx};
+use gpu_sim::{AtomicDeviceBuffer, BlockCtx, DeviceBuffer, Kernel};
 use tsp_core::Point;
 
 /// Modeled global-memory bytes gathered per candidate check: the
@@ -64,13 +64,9 @@ pub struct CandidateSweepKernel<'a> {
 }
 
 impl Kernel for CandidateSweepKernel<'_> {
-    type Shared = ();
-
     fn shared_bytes(&self) -> usize {
         0
     }
-
-    fn make_shared(&self) {}
 
     fn num_phases(&self) -> usize {
         1
@@ -80,43 +76,46 @@ impl Kernel for CandidateSweepKernel<'_> {
         "2opt-eval-candidate"
     }
 
-    fn run(&self, _phase: usize, ctx: &mut ThreadCtx<'_>, _shared: &mut ()) {
+    fn run_block(&self, blk: &mut BlockCtx<'_>) {
         let n = self.coords.len();
         let pts = self.coords.as_slice();
         let pos = self.pos.as_slice();
         let lists = self.lists.as_slice();
         let active = self.active.as_slice();
-        let stride = ctx.total_threads() as usize;
-        let mut slot = ctx.global_thread_id() as usize;
+        let stride = blk.total_threads() as usize;
+        let base = blk.first_thread_id() as usize;
         let mut cities = 0u64;
-        let mut checks = 0u64;
-        while slot < active.len() {
-            let a = active[slot] as usize;
-            let i = pos[a] as usize;
-            let mut best = EMPTY_KEY;
-            for &b in &lists[a * self.k..(a + 1) * self.k] {
-                let p = pos[b as usize] as usize;
-                let (lo, hi) = if i < p { (i, p) } else { (p, i) };
-                // Same pair space as the dense sweep: 0 ≤ lo < hi ≤ n-2.
-                if lo == hi || hi + 2 > n {
-                    continue;
+        // Every thread's strided slots: thread `base + t` takes slots
+        // `base + t, base + t + stride, …`.
+        for first in base..base + blk.block_dim as usize {
+            for (slot, &a) in active.iter().enumerate().skip(first).step_by(stride) {
+                let a = a as usize;
+                let i = pos[a] as usize;
+                let mut best = EMPTY_KEY;
+                for &b in &lists[a * self.k..(a + 1) * self.k] {
+                    let p = pos[b as usize] as usize;
+                    let (lo, hi) = if i < p { (i, p) } else { (p, i) };
+                    // Same pair space as the dense sweep: 0 ≤ lo < hi ≤ n-2.
+                    if lo == hi || hi + 2 > n {
+                        continue;
+                    }
+                    let (pi, pi1, pj, pj1) = (pts[lo], pts[lo + 1], pts[hi], pts[hi + 1]);
+                    let d =
+                        (pi.euc_2d(&pj) + pi1.euc_2d(&pj1)) - (pi.euc_2d(&pi1) + pj.euc_2d(&pj1));
+                    let key = pack(d, lo as u32, hi as u32);
+                    if key < best {
+                        best = key;
+                    }
                 }
-                let (pi, pi1, pj, pj1) = (pts[lo], pts[lo + 1], pts[hi], pts[hi + 1]);
-                let d = (pi.euc_2d(&pj) + pi1.euc_2d(&pj1)) - (pi.euc_2d(&pi1) + pj.euc_2d(&pj1));
-                let key = pack(d, lo as u32, hi as u32);
-                if key < best {
-                    best = key;
-                }
+                self.out.store(slot, best);
+                cities += 1;
             }
-            // Uniform accounting: all k lanes pay, evaluated or skipped.
-            checks += self.k as u64;
-            self.out.store(slot, best);
-            cities += 1;
-            slot += stride;
         }
-        ctx.flops(checks * FLOPS_PER_CHECK);
-        ctx.global_read(cities * CANDIDATE_CITY_READ_BYTES + checks * CANDIDATE_BYTES_PER_CHECK);
-        ctx.global_write(cities * CANDIDATE_CITY_WRITE_BYTES);
+        // Uniform accounting: all k lanes pay, evaluated or skipped.
+        let checks = cities * self.k as u64;
+        blk.flops(checks * FLOPS_PER_CHECK);
+        blk.global_read(cities * CANDIDATE_CITY_READ_BYTES + checks * CANDIDATE_BYTES_PER_CHECK);
+        blk.global_write(cities * CANDIDATE_CITY_WRITE_BYTES);
     }
 }
 

@@ -32,7 +32,7 @@ use crate::gpu::small::{block_reduce, RESULT_SLOT};
 use crate::oropt::OrOptMove;
 use crate::search::{EngineError, StepProfile};
 use gpu_sim::{
-    AtomicDeviceBuffer, Device, DeviceBuffer, DeviceSpec, Kernel, LaunchConfig, ThreadCtx,
+    AtomicDeviceBuffer, BlockCtx, Device, DeviceBuffer, DeviceSpec, Kernel, LaunchConfig,
 };
 use tsp_core::{Instance, Point, Tour};
 
@@ -111,24 +111,9 @@ pub struct OrOptKernel<'a> {
     pub out: &'a AtomicDeviceBuffer,
 }
 
-/// Shared state: staged coordinates + reduction scratch.
-pub struct OrOptShared {
-    coords: Vec<Point>,
-    scratch: Vec<u64>,
-}
-
 impl Kernel for OrOptKernel<'_> {
-    type Shared = OrOptShared;
-
     fn shared_bytes(&self) -> usize {
         self.coords.len() * Point::DEVICE_BYTES
-    }
-
-    fn make_shared(&self) -> OrOptShared {
-        OrOptShared {
-            coords: vec![Point::default(); self.coords.len()],
-            scratch: Vec::new(),
-        }
     }
 
     fn num_phases(&self) -> usize {
@@ -139,63 +124,59 @@ impl Kernel for OrOptKernel<'_> {
         "oropt-eval"
     }
 
-    fn run(&self, phase: usize, ctx: &mut ThreadCtx<'_>, shared: &mut OrOptShared) {
+    fn run_block(&self, blk: &mut BlockCtx<'_>) {
         let n = self.coords.len();
-        match phase {
-            0 => {
-                if shared.scratch.is_empty() {
-                    shared.scratch = vec![EMPTY_KEY; ctx.block_dim as usize];
-                }
-                let src = self.coords.as_slice();
-                let mut k = ctx.thread_idx as usize;
-                let mut loads = 0u64;
-                while k < n {
-                    shared.coords[k] = src[k];
-                    loads += 1;
-                    k += ctx.block_dim as usize;
-                }
-                ctx.global_read(loads * Point::DEVICE_BYTES as u64);
-                ctx.shared_bytes(loads * Point::DEVICE_BYTES as u64);
+        let mut coords = vec![Point::default(); n];
+        let mut scratch = vec![EMPTY_KEY; blk.block_dim as usize];
+        blk.for_each_thread(|ctx| {
+            let src = self.coords.as_slice();
+            let mut k = ctx.thread_idx as usize;
+            let mut loads = 0u64;
+            while k < n {
+                coords[k] = src[k];
+                loads += 1;
+                k += ctx.block_dim as usize;
             }
-            1 => {
-                let n64 = n as u64;
-                let space = COMBOS * n64 * n64;
-                let stride = ctx.total_threads();
-                let mut k = ctx.global_thread_id();
-                let mut best = EMPTY_KEY;
-                let mut evals = 0u64;
-                while k < space {
-                    let (combo, s, j) = decode(k, n64);
-                    k += stride;
-                    let len = (combo / 2 + 1) as usize;
-                    let s = s as usize;
-                    let j = j as usize;
-                    let e = s + len - 1;
-                    // Validity: interior segment, interior insertion edge
-                    // not touching the segment or its stubs.
-                    if s < 1 || e > n - 2 || j > n - 2 || (j + 1 >= s && j <= e) {
-                        continue;
-                    }
-                    let reversed = combo % 2 == 1;
-                    let d = oropt_delta_ordered(&shared.coords, s, e, j, reversed);
-                    let key = pack_oropt(d, s as u32, combo as u32, j as u32);
-                    if key < best {
-                        best = key;
-                    }
-                    evals += 1;
+            ctx.global_read(loads * Point::DEVICE_BYTES as u64);
+            ctx.shared_bytes(loads * Point::DEVICE_BYTES as u64);
+        });
+        blk.for_each_thread(|ctx| {
+            let n64 = n as u64;
+            let space = COMBOS * n64 * n64;
+            let stride = ctx.total_threads();
+            let mut k = ctx.global_thread_id();
+            let mut best = EMPTY_KEY;
+            let mut evals = 0u64;
+            while k < space {
+                let (combo, s, j) = decode(k, n64);
+                k += stride;
+                let len = (combo / 2 + 1) as usize;
+                let s = s as usize;
+                let j = j as usize;
+                let e = s + len - 1;
+                // Validity: interior segment, interior insertion edge not
+                // touching the segment or its stubs.
+                if s < 1 || e > n - 2 || j > n - 2 || (j + 1 >= s && j <= e) {
+                    continue;
                 }
-                // 6 distance evaluations per candidate; count at the
-                // 2-opt granularity (4 per check) times 1.5.
-                ctx.flops(evals * FLOPS_PER_CHECK * 3 / 2);
-                ctx.shared_bytes(evals * BYTES_PER_CHECK * 3 / 2);
-                shared.scratch[ctx.thread_idx as usize] = best;
-                if evals > 0 {
-                    ctx.shared_bytes(8);
+                let reversed = combo % 2 == 1;
+                let d = oropt_delta_ordered(&coords, s, e, j, reversed);
+                let key = pack_oropt(d, s as u32, combo as u32, j as u32);
+                if key < best {
+                    best = key;
                 }
+                evals += 1;
             }
-            2 => block_reduce(ctx, &shared.scratch, self.out),
-            _ => unreachable!("OrOptKernel has 3 phases"),
-        }
+            // 6 distance evaluations per candidate; count at the 2-opt
+            // granularity (4 per check) times 1.5.
+            ctx.flops(evals * FLOPS_PER_CHECK * 3 / 2);
+            ctx.shared_bytes(evals * BYTES_PER_CHECK * 3 / 2);
+            scratch[ctx.thread_idx as usize] = best;
+            if evals > 0 {
+                ctx.shared_bytes(8);
+            }
+        });
+        blk.for_each_thread(|ctx| block_reduce(ctx, &scratch, self.out));
     }
 }
 

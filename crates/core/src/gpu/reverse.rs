@@ -17,7 +17,7 @@
 //!
 //! [`Tour::reverse_segment_wrapping`]: tsp_core::Tour::reverse_segment_wrapping
 
-use gpu_sim::{AtomicDeviceBuffer, Kernel, ThreadCtx};
+use gpu_sim::{AtomicDeviceBuffer, BlockCtx, Kernel};
 
 /// Reverses `len` consecutive positions starting at `from` (mod the
 /// buffer length) of a resident coordinate array of packed
@@ -42,13 +42,9 @@ impl SegmentReversalKernel<'_> {
 }
 
 impl Kernel for SegmentReversalKernel<'_> {
-    type Shared = ();
-
     fn shared_bytes(&self) -> usize {
         0
     }
-
-    fn make_shared(&self) {}
 
     fn num_phases(&self) -> usize {
         1
@@ -58,8 +54,7 @@ impl Kernel for SegmentReversalKernel<'_> {
         "2opt-reverse"
     }
 
-    fn run(&self, phase: usize, ctx: &mut ThreadCtx<'_>, _shared: &mut ()) {
-        debug_assert_eq!(phase, 0, "SegmentReversalKernel has 1 phase");
+    fn run_block(&self, blk: &mut BlockCtx<'_>) {
         let n = self.coords.len();
         if n == 0 || self.len <= 1 {
             return;
@@ -67,22 +62,24 @@ impl Kernel for SegmentReversalKernel<'_> {
         debug_assert!(self.from < n, "segment start out of range");
         debug_assert!(self.len <= n, "segment longer than the tour");
         let swaps = self.swaps() as u64;
-        let stride = ctx.total_threads();
-        let mut k = ctx.global_thread_id();
-        let mut done = 0u64;
-        while k < swaps {
-            let a = (self.from + k as usize) % n;
-            let b = (self.from + self.len - 1 - k as usize) % n;
-            let wa = self.coords.load(a);
-            let wb = self.coords.load(b);
-            self.coords.store(a, wb);
-            self.coords.store(b, wa);
-            done += 1;
-            k += stride;
-        }
-        // Each swap reads two 8-byte words and writes two back.
-        ctx.global_read(done * 16);
-        ctx.global_write(done * 16);
+        blk.for_each_thread(|ctx| {
+            let stride = ctx.total_threads();
+            let mut k = ctx.global_thread_id();
+            let mut done = 0u64;
+            while k < swaps {
+                let a = (self.from + k as usize) % n;
+                let b = (self.from + self.len - 1 - k as usize) % n;
+                let wa = self.coords.load(a);
+                let wb = self.coords.load(b);
+                self.coords.store(a, wb);
+                self.coords.store(b, wa);
+                done += 1;
+                k += stride;
+            }
+            // Each swap reads two 8-byte words and writes two back.
+            ctx.global_read(done * 16);
+            ctx.global_write(done * 16);
+        });
     }
 }
 

@@ -88,6 +88,19 @@ pub fn iterations_per_thread(pairs: u64, total_threads: u64) -> u64 {
     pairs.div_ceil(total_threads)
 }
 
+/// The strided assignment seen from one block: threads
+/// `base .. base + threads` of a launch with `stride` threads in total,
+/// each taking cells `t, t + stride, t + 2·stride, …` below `work`.
+/// Returns `(cells, live)` — the cells those threads evaluate together
+/// and how many of the threads get at least one — in closed form.
+#[inline]
+pub(crate) fn strided_share(work: u64, stride: u64, base: u64, threads: u64) -> (u64, u64) {
+    debug_assert!(base + threads <= stride);
+    let cells = work / stride * threads + (work % stride).saturating_sub(base).min(threads);
+    let live = work.saturating_sub(base).min(threads);
+    (cells, live)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +132,34 @@ mod tests {
                 }
             }
             assert_eq!(k_expected, total);
+        }
+    }
+
+    #[test]
+    fn strided_share_sums_the_per_thread_loops() {
+        for (work, grid, block) in [
+            (0u64, 3u64, 4u64),
+            (5, 2, 4),
+            (8, 2, 4),
+            (37, 3, 5),
+            (100, 4, 8),
+        ] {
+            let stride = grid * block;
+            for b in 0..grid {
+                let base = b * block;
+                let mut cells = 0;
+                let mut live = 0;
+                for t in base..base + block {
+                    let mine = (t..work).step_by(stride as usize).count() as u64;
+                    cells += mine;
+                    live += u64::from(mine > 0);
+                }
+                assert_eq!(
+                    strided_share(work, stride, base, block),
+                    (cells, live),
+                    "work={work} grid={grid} block={block} b={b}"
+                );
+            }
         }
     }
 

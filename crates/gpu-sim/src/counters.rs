@@ -1,6 +1,6 @@
 //! Performance counters accumulated by simulated kernels.
 //!
-//! Kernels account their own work through [`crate::kernel::ThreadCtx`];
+//! Kernels account their own work through [`crate::kernel::BlockCtx`];
 //! the executor aggregates per-block counters and feeds them to the
 //! timing model. Counting is explicit (a kernel that forgets to call
 //! `ctx.flops(..)` gets a too-optimistic time) — exactly like annotating

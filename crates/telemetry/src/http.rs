@@ -731,21 +731,9 @@ pub fn http_request_with_headers(
     body: &str,
     extra: &[(&str, &str)],
 ) -> io::Result<(u16, String, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
-    if !body.is_empty() {
-        head.push_str(&format!(
-            "Content-Type: {content_type}\r\nContent-Length: {}\r\n",
-            body.len()
-        ));
-    }
-    for (name, value) in extra {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    let mut stream = connect(addr)?;
+    let request = encode_request(addr, method, path, content_type, body, extra, "close");
+    stream.write_all(&request)?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     let (head, body) = response
@@ -757,6 +745,44 @@ pub fn http_request_with_headers(
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no status code"))?;
     Ok((status, head.to_string(), body.to_string()))
+}
+
+/// A client connection: Nagle off, so a request written in one piece
+/// leaves at once instead of waiting on the server's delayed ACK.
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    Ok(stream)
+}
+
+/// One whole request — head and body — in a single buffer, so it goes
+/// out in one write. Two writes (head, then body) on a Nagle socket hold
+/// the body back until the server ACKs the head, a delayed ACK of tens of
+/// milliseconds per request.
+fn encode_request(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    content_type: &str,
+    body: &str,
+    extra: &[(&str, &str)],
+    connection: &str,
+) -> Vec<u8> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
+    if !body.is_empty() {
+        head.push_str(&format!(
+            "Content-Type: {content_type}\r\nContent-Length: {}\r\n",
+            body.len()
+        ));
+    }
+    for (name, value) in extra {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(&format!("Connection: {connection}\r\n\r\n"));
+    let mut request = head.into_bytes();
+    request.extend_from_slice(body.as_bytes());
+    request
 }
 
 /// A client that keeps one TCP connection open across requests —
@@ -839,25 +865,20 @@ impl KeepAliveClient {
         extra: &[(&str, &str)],
     ) -> io::Result<(u16, String, String)> {
         if self.stream.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-            self.stream = Some(stream);
+            self.stream = Some(connect(self.addr)?);
             self.connects += 1;
         }
         let stream = self.stream.as_mut().expect("connected above");
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.addr);
-        if !body.is_empty() {
-            head.push_str(&format!(
-                "Content-Type: {content_type}\r\nContent-Length: {}\r\n",
-                body.len()
-            ));
-        }
-        for (name, value) in extra {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("Connection: keep-alive\r\n\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
+        let request = encode_request(
+            self.addr,
+            method,
+            path,
+            content_type,
+            body,
+            extra,
+            "keep-alive",
+        );
+        stream.write_all(&request)?;
 
         // Read exactly one framed response: head through \r\n\r\n,
         // then Content-Length body bytes (read_to_string would block
@@ -931,6 +952,41 @@ mod tests {
 
     fn read(bytes: &[u8]) -> Result<Request, RequestError> {
         read_request(&mut Cursor::new(bytes), MAX_HEAD_BYTES, 1024)
+    }
+
+    #[test]
+    fn requests_encode_head_and_body_in_one_buffer() {
+        let addr: SocketAddr = "127.0.0.1:8080".parse().unwrap();
+        let bytes = encode_request(
+            addr,
+            "POST",
+            "/v1/solve",
+            "application/json",
+            "{\"n\":3}",
+            &[("traceparent", "00-ab-cd-01")],
+            "keep-alive",
+        );
+        assert_eq!(
+            String::from_utf8(bytes.clone()).unwrap(),
+            "POST /v1/solve HTTP/1.1\r\nHost: 127.0.0.1:8080\r\n\
+             Content-Type: application/json\r\nContent-Length: 7\r\n\
+             traceparent: 00-ab-cd-01\r\nConnection: keep-alive\r\n\r\n{\"n\":3}"
+        );
+        // The server's own parser reads it back whole.
+        let req = read(&bytes).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/solve")
+        );
+        assert_eq!(req.header("traceparent"), Some("00-ab-cd-01"));
+        assert_eq!(req.body, b"{\"n\":3}");
+
+        // Bodiless requests carry no entity headers.
+        let get = encode_request(addr, "GET", "/metrics", "text/plain", "", &[], "close");
+        assert_eq!(
+            String::from_utf8(get).unwrap(),
+            "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nConnection: close\r\n\r\n"
+        );
     }
 
     #[test]

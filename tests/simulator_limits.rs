@@ -80,18 +80,16 @@ fn tiny_and_degenerate_instances_are_safe() {
 
 #[test]
 fn zero_and_oversized_launches_are_rejected() {
-    use gpu_sim::{Kernel, LaunchConfig, ThreadCtx};
+    use gpu_sim::{BlockCtx, Kernel, LaunchConfig};
     struct Nop;
     impl Kernel for Nop {
-        type Shared = ();
         fn shared_bytes(&self) -> usize {
             0
         }
-        fn make_shared(&self) {}
         fn num_phases(&self) -> usize {
             1
         }
-        fn run(&self, _: usize, _: &mut ThreadCtx<'_>, _: &mut ()) {}
+        fn run_block(&self, _: &mut BlockCtx<'_>) {}
     }
     let dev = Device::new(spec::gtx_680_cuda());
     assert!(matches!(
