@@ -19,6 +19,12 @@ fn bench_construction(c: &mut Criterion) {
             b.iter(|| space_filling(&inst))
         });
     }
+    // Past 3000 cities MF scans k-NN candidate edges, then its linker
+    // joins the hundreds of fragments they leave.
+    let inst = generate("bench-con", 20_000, Style::Clustered { clusters: 200 }, 1);
+    group.bench_function("multiple_fragment/20000-clustered", |b| {
+        b.iter(|| multiple_fragment(&inst))
+    });
     group.finish();
 }
 

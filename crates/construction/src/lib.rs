@@ -10,13 +10,12 @@
 //!   experiment assumes "the initial solution s0 is a random tour").
 //!
 //! Large instances are served by a [`grid::SpatialGrid`]-backed candidate
-//! generator so construction stays near-linear.
+//! generator; Multiple Fragment never materialises all `n(n-1)/2` pairs.
 
 pub mod greedy;
 pub mod grid;
 pub mod nearest_neighbor;
 pub mod spacefill;
-pub mod union_find;
 
 pub use greedy::{multiple_fragment, multiple_fragment_exact, multiple_fragment_knn};
 pub use nearest_neighbor::nearest_neighbor;

@@ -1,8 +1,9 @@
 //! Offline stand-in for `criterion` (the API subset this workspace's
 //! benches use). Statistical machinery is out of scope: each benchmark
-//! runs its closure `sample_size` times and prints the mean wall-clock
-//! time, which is enough to compare hot paths by hand and keeps the
-//! `cargo bench` targets compiling and runnable without the registry.
+//! runs its closure `sample_size` times and prints the mean, minimum and
+//! median wall-clock time per sample, which is enough to compare hot
+//! paths by hand and keeps the `cargo bench` targets compiling and
+//! runnable without the registry.
 
 use std::time::{Duration, Instant};
 
@@ -89,25 +90,30 @@ impl BenchmarkGroup<'_> {
 fn run_one(label: &str, samples: usize, f: &mut dyn FnMut(&mut Bencher)) {
     let mut bencher = Bencher {
         samples,
-        total: Duration::ZERO,
-        iters: 0,
+        times: Vec::with_capacity(samples),
     };
     f(&mut bencher);
-    let mean = if bencher.iters > 0 {
-        bencher.total / bencher.iters as u32
-    } else {
-        Duration::ZERO
-    };
+    let [mean, min, median] = summarize(&mut bencher.times);
     println!(
-        "bench {label:<48} {mean:>12.2?}/iter ({} iters)",
-        bencher.iters
+        "bench {label:<48} mean {mean:>10.2?}  min {min:>10.2?}  median {median:>10.2?}  ({} iters)",
+        bencher.times.len()
     );
+}
+
+/// `[mean, min, median]` of the sample times (the upper middle for an even
+/// count); all zero when there are none.
+fn summarize(times: &mut [Duration]) -> [Duration; 3] {
+    if times.is_empty() {
+        return [Duration::ZERO; 3];
+    }
+    times.sort_unstable();
+    let mean = times.iter().sum::<Duration>() / times.len() as u32;
+    [mean, times[0], times[times.len() / 2]]
 }
 
 pub struct Bencher {
     samples: usize,
-    total: Duration,
-    iters: u64,
+    times: Vec<Duration>,
 }
 
 impl Bencher {
@@ -115,8 +121,7 @@ impl Bencher {
         for _ in 0..self.samples {
             let start = Instant::now();
             black_box(f());
-            self.total += start.elapsed();
-            self.iters += 1;
+            self.times.push(start.elapsed());
         }
     }
 }
@@ -215,5 +220,13 @@ mod tests {
         c.bench_function("direct", |b| b.iter(|| calls += 1));
         assert_eq!(calls, 2);
         assert_eq!(black_box(5), 5);
+    }
+
+    #[test]
+    fn summary_reports_mean_min_and_median() {
+        let ms = Duration::from_millis;
+        let mut times = vec![ms(9), ms(1), ms(5), ms(1)];
+        assert_eq!(summarize(&mut times), [ms(4), ms(1), ms(5)]);
+        assert_eq!(summarize(&mut []), [Duration::ZERO; 3]);
     }
 }
