@@ -20,10 +20,14 @@ fn bench_construction(c: &mut Criterion) {
         });
     }
     // Past 3000 cities MF scans k-NN candidate edges, then its linker
-    // joins the hundreds of fragments they leave.
+    // joins the hundreds of fragments they leave; NN queries the k-NN
+    // grid instead of scanning every city.
     let inst = generate("bench-con", 20_000, Style::Clustered { clusters: 200 }, 1);
     group.bench_function("multiple_fragment/20000-clustered", |b| {
         b.iter(|| multiple_fragment(&inst))
+    });
+    group.bench_function("nearest_neighbor/20000-clustered", |b| {
+        b.iter(|| nearest_neighbor(&inst, 0))
     });
     group.finish();
 }

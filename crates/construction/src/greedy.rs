@@ -13,7 +13,7 @@
 //!   linker builds the whole tour — Bentley's greedy over all
 //!   `n(n-1)/2` edges without materialising them;
 //! * k-NN (larger coordinate instances): the k-nearest-neighbour edges
-//!   from a [`SpatialGrid`] are sorted and scanned first, and the linker
+//!   from [`NeighborLists`] are sorted and scanned first, and the linker
 //!   joins the fragments they leave.
 //!
 //! The linker keeps a min-heap holding, for each live endpoint `a`
@@ -27,9 +27,9 @@
 //! endpoints), O(n²) in exact mode. Fragment identity is one `other_end`
 //! array: endpoints `a` and `b` share a fragment iff `b == other_end[a]`.
 
-use crate::grid::SpatialGrid;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use tsp_core::neighbor::NeighborLists;
 use tsp_core::{Instance, Tour};
 
 /// Above this size, scan k-NN candidate edges before linking.
@@ -64,10 +64,10 @@ pub fn multiple_fragment_knn(inst: &Instance, k: usize) -> Tour {
 
 /// The k-NN candidate edges `(d, a, b)`, `a < b`, sorted and deduplicated.
 fn candidate_edges(inst: &Instance, k: usize) -> Vec<(i32, u32, u32)> {
-    let grid = SpatialGrid::build(inst);
+    let lists = NeighborLists::build(inst, k);
     let mut edges: Vec<(i32, u32, u32)> = Vec::with_capacity(inst.len() * k);
     for i in 0..inst.len() as u32 {
-        for j in grid.knn(i as usize, k) {
+        for &j in lists.neighbors(i as usize) {
             let (a, b) = (i.min(j), i.max(j));
             edges.push((inst.dist(a as usize, b as usize), a, b));
         }

@@ -9,11 +9,11 @@
 //! * random tours come from [`tsp_core::Tour::random`] (the paper's ILS
 //!   experiment assumes "the initial solution s0 is a random tour").
 //!
-//! Large instances are served by a [`grid::SpatialGrid`]-backed candidate
-//! generator; Multiple Fragment never materialises all `n(n-1)/2` pairs.
+//! Large coordinate instances take their k-nearest-neighbour lists from
+//! [`tsp_core::neighbor`], the workspace's one k-NN builder; Multiple
+//! Fragment never materialises all `n(n-1)/2` pairs.
 
 pub mod greedy;
-pub mod grid;
 pub mod nearest_neighbor;
 pub mod spacefill;
 

@@ -1,21 +1,25 @@
 //! Nearest-neighbour construction — the simplest reasonable initial tour
 //! and a baseline for the construction-quality comparisons.
 
-use crate::grid::SpatialGrid;
+use tsp_core::neighbor::KnnGrid;
 use tsp_core::{Instance, Tour};
 
-/// Above this size, use the spatial grid instead of linear scans.
+/// Above this size, query the k-NN grid instead of scanning every city.
 const SCAN_LIMIT: usize = 3000;
 
-/// Build a tour by always visiting the nearest unvisited city, starting
-/// from `start`.
+/// Build a tour by always visiting the nearest unvisited city (lowest
+/// index on ties), starting from `start`.
 pub fn nearest_neighbor(inst: &Instance, start: usize) -> Tour {
     let n = inst.len();
     assert!(start < n, "start city out of range");
-    if n <= SCAN_LIMIT || !inst.is_coordinate_based() {
-        nearest_neighbor_scan(inst, start)
+    let grid = if n > SCAN_LIMIT {
+        KnnGrid::new(inst)
     } else {
-        nearest_neighbor_grid(inst, start)
+        None
+    };
+    match grid {
+        Some(grid) => nearest_neighbor_grid(inst, &grid, start),
+        None => nearest_neighbor_scan(inst, start),
     }
 }
 
@@ -45,11 +49,11 @@ fn nearest_neighbor_scan(inst: &Instance, start: usize) -> Tour {
     Tour::new(order).expect("nearest neighbour visits each city once")
 }
 
-fn nearest_neighbor_grid(inst: &Instance, start: usize) -> Tour {
+fn nearest_neighbor_grid(inst: &Instance, grid: &KnnGrid, start: usize) -> Tour {
     let n = inst.len();
-    let grid = SpatialGrid::build(inst);
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
+    let mut found = Vec::new();
     let mut cur = start;
     visited[cur] = true;
     order.push(cur as u32);
@@ -58,11 +62,12 @@ fn nearest_neighbor_grid(inst: &Instance, start: usize) -> Tour {
         // full scan in the pathological endgame.
         let mut next = None;
         let mut k = 8;
-        while k <= 4096 {
-            if let Some(&j) = grid.knn(cur, k).iter().find(|&&j| !visited[j as usize]) {
-                next = Some(j as usize);
-                break;
-            }
+        while next.is_none() && k <= 4096 {
+            grid.knn(cur, k, &mut found);
+            next = found
+                .iter()
+                .map(|&(_, j)| j as usize)
+                .find(|&j| !visited[j]);
             k *= 4;
         }
         let next = next.unwrap_or_else(|| {
@@ -104,14 +109,19 @@ mod tests {
 
     #[test]
     fn grid_variant_matches_scan_variant_length_roughly() {
-        let inst = generate("nng", 500, Style::Uniform, 9);
-        let a = nearest_neighbor_scan(&inst, 0);
-        let b = nearest_neighbor_grid(&inst, 0);
-        b.validate().unwrap();
-        // Both are greedy NN; the grid version may differ on distance
-        // ties only, so lengths must be very close.
-        let gap = (a.length(&inst) - b.length(&inst)).abs() as f64 / a.length(&inst) as f64;
-        assert!(gap < 0.02, "gap {gap}");
+        // The grid query is exact, so both variants build the same tour,
+        // on distance ties (the lattice) too.
+        let lattice = (0..900)
+            .map(|i| Point::new((i % 30) as f32 * 3.0, (i / 30) as f32 * 4.0))
+            .collect();
+        let lattice = Instance::new("lattice", Metric::Euc2d, lattice).unwrap();
+        for inst in [generate("nng", 500, Style::Uniform, 9), lattice] {
+            let grid = KnnGrid::new(&inst).unwrap();
+            for start in [0, 137, inst.len() - 1] {
+                let scan = nearest_neighbor_scan(&inst, start);
+                assert_eq!(nearest_neighbor_grid(&inst, &grid, start), scan);
+            }
+        }
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! OpenCL", 6–16 cores).
 //!
 //! The linear pair-index space of the triangular scheme is split into
-//! contiguous chunks; each worker walks its chunk *incrementally*
-//! (`(i, j) → (i+1, j)` or `(0, j+1)`), keeping a local best, and the
-//! chunk results reduce to the global best with the same
-//! `(delta, i, j)` lexicographic order the packed-atomic GPU reduction
-//! uses — so all engines agree bit-for-bit.
+//! contiguous chunks; each worker takes its chunk's packed-key minimum
+//! with the GPU kernels' row walk ([`crate::delta::best_key_in_cells`]),
+//! and the chunk keys reduce with `u64::min` — the packed-atomic GPU
+//! reduction's order, lowest `(delta, i, j)` — so all engines agree
+//! bit-for-bit, ties included.
 
-use crate::bestmove::BestMove;
+use crate::bestmove::{unpack, BestMove, EMPTY_KEY};
 use crate::cpu_model::{flops_for_pairs, model_cpu_sweep_seconds};
-use crate::delta::delta_ordered;
-use crate::indexing::{index_to_pair, pair_count};
+use crate::delta::best_key_in_cells;
+use crate::indexing::pair_count;
 use crate::search::{EngineError, StepProfile, TwoOptEngine};
 use gpu_sim::DeviceSpec;
 use rayon::prelude::*;
@@ -56,43 +56,6 @@ impl Default for CpuParallelTwoOpt {
     }
 }
 
-/// Scan pairs `[start, end)` of the linear index space over ordered
-/// coordinates, returning the chunk's best move.
-fn scan_chunk(pts: &[Point], start: u64, end: u64) -> Option<BestMove> {
-    let (mut i, mut j) = index_to_pair(start);
-    let mut best: Option<BestMove> = None;
-    for _ in start..end {
-        let d = delta_ordered(pts, i as usize, j as usize);
-        if d < best.map_or(0, |b| b.delta) {
-            best = Some(BestMove {
-                delta: d,
-                i: i as u32,
-                j: j as u32,
-            });
-        }
-        i += 1;
-        if i == j {
-            i = 0;
-            j += 1;
-        }
-    }
-    best
-}
-
-/// Lexicographic (delta, i, j) minimum — matches the packed-key order.
-fn better(a: Option<BestMove>, b: Option<BestMove>) -> Option<BestMove> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => {
-            if (x.delta, x.i, x.j) <= (y.delta, y.i, y.j) {
-                Some(x)
-            } else {
-                Some(y)
-            }
-        }
-    }
-}
-
 impl TwoOptEngine for CpuParallelTwoOpt {
     fn name(&self) -> String {
         format!("cpu-parallel[{}]", self.spec.name)
@@ -125,12 +88,8 @@ impl TwoOptEngine for CpuParallelTwoOpt {
         let per = pairs.div_ceil(chunks);
         let best = (0..chunks)
             .into_par_iter()
-            .map(|c| {
-                let start = c * per;
-                let end = ((c + 1) * per).min(pairs);
-                scan_chunk(pts, start, end)
-            })
-            .reduce(|| None, better);
+            .map(|c| best_key_in_cells(pts, c * per..((c + 1) * per).min(pairs)))
+            .reduce(|| EMPTY_KEY, u64::min);
 
         let profile = StepProfile {
             pairs_checked: pairs,
@@ -140,7 +99,7 @@ impl TwoOptEngine for CpuParallelTwoOpt {
             h2d_seconds: 0.0,
             d2h_seconds: 0.0,
         };
-        Ok((best.filter(|m| m.improves()), profile))
+        Ok((unpack(best).filter(BestMove::improves), profile))
     }
 }
 
@@ -178,21 +137,19 @@ mod tests {
 
     #[test]
     fn chunk_walk_covers_whole_space() {
-        // scan_chunk over the full range equals a nested-loop scan.
+        // Any split of the pair space, down to one pair per chunk,
+        // reduces to the single-chunk move.
         let inst = random_instance(30, 9);
         let tour = Tour::identity(30);
-        let pts = tour.ordered_points(&inst).unwrap();
-        let pairs = pair_count(30);
-        let full = scan_chunk(&pts, 0, pairs);
-        // Piecewise in 7 chunks reduces to the same move.
-        let per = pairs.div_ceil(7);
-        let mut acc = None;
-        for c in 0..7 {
-            let s = c * per;
-            let e = ((c + 1) * per).min(pairs);
-            acc = better(acc, scan_chunk(&pts, s, e));
+        let whole = CpuParallelTwoOpt::new()
+            .with_chunks(1)
+            .best_move(&inst, &tour);
+        let whole = whole.unwrap().0;
+        assert!(whole.is_some());
+        for chunks in [2, 7, 64, pair_count(30) as usize + 5] {
+            let mut par = CpuParallelTwoOpt::new().with_chunks(chunks);
+            assert_eq!(par.best_move(&inst, &tour).unwrap().0, whole, "{chunks}");
         }
-        assert_eq!(full, acc);
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!   read from global memory on every access; the modeled time shows why
 //!   the paper calls this "not a good idea".
 
-use crate::bestmove::{pack, saturate_delta, EMPTY_KEY};
+use crate::bestmove::{pack, EMPTY_KEY};
 use crate::cpu_model::BYTES_PER_CHECK;
-use crate::delta::{delta_ordered, FLOPS_PER_CHECK};
+use crate::delta::{best_key_in_cells, delta_ordered, FLOPS_PER_CHECK};
 use crate::gpu::coords::CoordSource;
-use crate::indexing::{index_to_pair, pair_count, pair_to_index, strided_share};
+use crate::indexing::{index_to_pair, pair_count, strided_share};
 use gpu_sim::{AtomicDeviceBuffer, BlockCtx, DeviceBuffer, Kernel, ThreadCtx};
 use std::ops::Range;
 use tsp_core::Point;
@@ -113,106 +113,6 @@ pub(crate) fn charge_block_reduce(blk: &mut BlockCtx<'_>, live: u64) {
 pub(crate) fn publish(out: &AtomicDeviceBuffer, key: u64) {
     if key != EMPTY_KEY {
         out.fetch_min(RESULT_SLOT, key);
-    }
-}
-
-/// Minimum packed key over a contiguous range of pair-cell indices
-/// (the [`crate::indexing`] enumeration) of the route-ordered `pts`.
-pub(crate) fn best_key_in_cells(pts: &[Point], cells: Range<u64>) -> u64 {
-    if cells.is_empty() {
-        return EMPTY_KEY;
-    }
-    let first = index_to_pair(cells.start).1 as usize;
-    let last = index_to_pair(cells.end - 1).1 as usize;
-    best_key_in_rows(pts, 0, pts, 0, first..last + 1, |j| {
-        let row = pair_to_index(0, j as u64);
-        cells.start.saturating_sub(row) as usize..(cells.end - row).min(j as u64) as usize
-    })
-}
-
-/// Minimum packed key over the pairs `(i, j)` of `rows`, row `j`
-/// covering `i ∈ span(j)`, walking the pair triangle one row at a time.
-///
-/// `a` holds the points at positions `a_off ..` (every `i` and `i + 1`),
-/// `b` those at `b_off ..` (every `j` and `j + 1`). Each distance is
-/// computed once: the tour-edge lengths up front, and per row the
-/// distances from `j + 1` back to `a`, which serve this row's
-/// `(i + 1, j + 1)` terms and the next row's `(i, j)` terms. The deltas
-/// are the bit-exact integers of [`crate::delta::delta_ordered`].
-pub(crate) fn best_key_in_rows(
-    a: &[Point],
-    a_off: usize,
-    b: &[Point],
-    b_off: usize,
-    rows: Range<usize>,
-    span: impl Fn(usize) -> Range<usize>,
-) -> u64 {
-    let mut best = EMPTY_KEY;
-    if rows.is_empty() {
-        return best;
-    }
-    // Coordinates split by axis, so the distance rows vectorize.
-    let (xs, ys): (Vec<f32>, Vec<f32>) = a.iter().map(|p| (p.x, p.y)).unzip();
-    let edge: Vec<i32> = a.windows(2).map(|w| w[0].euc_2d(&w[1])).collect();
-    // `cur[x]`: distance from position `a_off + x` to the row's `j`.
-    let mut cur = vec![0i32; a.len()];
-    let mut next = vec![0i32; a.len()];
-    let local = |r: Range<usize>| r.start - a_off..r.end - a_off;
-    let pj = b[rows.start - b_off];
-    fill_distances(&mut cur, &xs, &ys, local(span(rows.start)), pj);
-    for j in rows.clone() {
-        let s = span(j);
-        let (pj, pj1) = (b[j - b_off], b[j + 1 - b_off]);
-        let ej = pj.euc_2d(&pj1);
-        let mut fill = s.start + 1..s.end + 1;
-        if j + 1 < rows.end {
-            let t = span(j + 1);
-            fill = fill.start.min(t.start)..fill.end.max(t.end);
-        }
-        fill_distances(&mut next, &xs, &ys, local(fill), pj1);
-        let (lo, hi) = (s.start - a_off, s.end - a_off);
-        let deltas = cur[lo..hi]
-            .iter()
-            .zip(&next[lo + 1..hi + 1])
-            .zip(&edge[lo..hi])
-            .map(|((&dij, &di1j1), &ei)| saturate_delta((dij + di1j1) - (ei + ej)));
-        // Keys of one row order like (saturated delta, i): the row's best
-        // is its minimum delta at the first i that reaches it.
-        let row_min = deltas.clone().fold(i32::MAX, i32::min);
-        if lo < hi && pack(row_min, s.start as u32, j as u32) < best {
-            let first_i = s.start + deltas.take_while(|&d| d != row_min).count();
-            best = best.min(pack(row_min, first_i as u32, j as u32));
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    best
-}
-
-/// `dist[x] = euc_2d((xs[x], ys[x]), p)` for every `x` in `range`.
-///
-/// `euc_2d` ends in a saturating `as i32`, which does not vectorize.
-/// Below 2^23 adding 2^23 rounds a non-negative `f32` to an integer
-/// exactly, so the loop truncates with that instead, bit-exact with the
-/// cast; a row holding a larger distance (or a NaN) is redone with
-/// `euc_2d` itself. Against a fill that calls `euc_2d` per element this
-/// takes ≈28 % off a `dense-descent` pass (2-vCPU x86-64 VM).
-#[inline]
-fn fill_distances(dist: &mut [i32], xs: &[f32], ys: &[f32], range: Range<usize>, p: Point) {
-    const EXACT: f32 = 8_388_608.0;
-    let dist = &mut dist[range.clone()];
-    let (xs, ys) = (&xs[range.clone()], &ys[range]);
-    let mut in_range = true;
-    for ((d, &x), &y) in dist.iter_mut().zip(xs).zip(ys) {
-        let v = Point::new(x, y).dist2(&p).sqrt() + 0.5;
-        let t = v + EXACT;
-        let rounded = t.to_bits() as i32 - EXACT.to_bits() as i32;
-        *d = rounded - i32::from(t - EXACT > v);
-        in_range &= v < EXACT;
-    }
-    if !in_range {
-        for ((d, &x), &y) in dist.iter_mut().zip(xs).zip(ys) {
-            *d = Point::new(x, y).euc_2d(&p);
-        }
     }
 }
 
@@ -374,6 +274,7 @@ impl Kernel for GlobalOnlyKernel<'_> {
 mod tests {
     use super::*;
     use crate::bestmove::unpack;
+    use crate::delta::fill_distances;
     use gpu_sim::{spec, Device, LaunchConfig};
 
     fn ordered_square_bad() -> Vec<Point> {

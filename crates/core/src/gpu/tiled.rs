@@ -20,9 +20,9 @@
 //! big rectangular ones.
 
 use crate::cpu_model::BYTES_PER_CHECK;
-use crate::delta::FLOPS_PER_CHECK;
+use crate::delta::{best_key_in_rows, FLOPS_PER_CHECK};
 use crate::gpu::coords::CoordSource;
-use crate::gpu::small::{best_key_in_rows, charge_block_reduce, publish};
+use crate::gpu::small::{charge_block_reduce, publish};
 use crate::indexing::{index_to_tile_pair, strided_share, tile_pair_count};
 use gpu_sim::{AtomicDeviceBuffer, BlockCtx, Kernel};
 use tsp_core::Point;

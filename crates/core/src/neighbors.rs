@@ -3,16 +3,13 @@
 //! The paper's §VII names neighbourhood pruning as the main raw-speed
 //! lever left once the dense O(n²) sweep is saturated: restrict the
 //! move search to pairs whose removed-edge endpoints are geometrically
-//! close, dropping a sweep to O(n·k). This module builds the per-city
+//! close, dropping a sweep to O(n·k). This module packages the per-city
 //! lists the [`crate::gpu`] candidate kernels consume:
 //!
-//! * [`CandidateLists::build`] — exact k-nearest-neighbour lists, found
-//!   by an expanding-ring scan over a ~1-point-per-cell bucket grid
-//!   (sub-quadratic on uniform-ish fields) with an O(n²) selection
-//!   fallback for matrix instances and for k close to n. Both paths
-//!   produce bit-identical lists: ties break by city index, and the
-//!   grid's ring-termination bound carries a +1 margin so the rounded
-//!   i32 distances can't cut the search short.
+//! * [`CandidateLists::build`] — exact k-nearest-neighbour lists from
+//!   [`tsp_core::neighbor::NeighborLists`], the workspace's one k-NN
+//!   builder (a bucket grid with an O(n²) fallback, bit-identical; ties
+//!   break by city index).
 //! * [`CandidateLists::closure`] — the symmetric closure `a ∈ cl(b) ⇔
 //!   b ∈ cl(a)`, as CSR. The *pair* neighbourhood the sweep explores is
 //!   exactly the closure: pair {a, b} is evaluated when either endpoint
@@ -23,6 +20,7 @@
 //!   minimum *within the candidate neighbourhood* — the termination
 //!   contract the differential tests pin.
 
+use tsp_core::neighbor::NeighborLists;
 use tsp_core::{Instance, Point, Tour};
 
 use crate::bestmove::{pack, unpack, BestMove, EMPTY_KEY};
@@ -32,10 +30,8 @@ use crate::delta::delta_ordered;
 /// closure, in the flattened layouts the device kernels gather from.
 #[derive(Debug, Clone)]
 pub struct CandidateLists {
-    k: usize,
-    /// Flattened `n × k` city indices, each row sorted by
-    /// `(distance, index)`.
-    lists: Vec<u32>,
+    /// Each row sorted by `(distance, index)`.
+    lists: NeighborLists,
     /// CSR offsets (`n + 1` entries) into `closure`.
     closure_offsets: Vec<u32>,
     /// Symmetric-closure adjacency, each row sorted by city index.
@@ -43,24 +39,12 @@ pub struct CandidateLists {
 }
 
 impl CandidateLists {
-    /// Build lists of the `k` nearest neighbours for every city.
-    ///
-    /// `k` is clamped to `n - 1`. Uses the spatial grid when the
-    /// instance has coordinates and `k` is small relative to `n`,
-    /// otherwise the dense selection scan; the two agree bit-for-bit.
+    /// Build lists of the `k` nearest neighbours for every city (`k` is
+    /// clamped to `n - 1`) and their symmetric closure.
     pub fn build(inst: &Instance, k: usize) -> Self {
-        let n = inst.len();
-        let k = k.min(n.saturating_sub(1));
-        let lists = if k == 0 {
-            Vec::new()
-        } else if inst.is_coordinate_based() && 8 * k < n {
-            grid_knn(inst, k)
-        } else {
-            brute_knn(inst, k)
-        };
-        let (closure_offsets, closure) = symmetric_closure(n, k, &lists);
+        let lists = NeighborLists::build(inst, k);
+        let (closure_offsets, closure) = symmetric_closure(inst.len(), &lists);
         CandidateLists {
-            k,
             lists,
             closure_offsets,
             closure,
@@ -70,7 +54,7 @@ impl CandidateLists {
     /// Neighbours per city.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
+        self.lists.k()
     }
 
     /// Number of cities the lists were built over.
@@ -88,13 +72,13 @@ impl CandidateLists {
     /// The `k` nearest neighbours of city `c`, nearest first.
     #[inline]
     pub fn neighbors(&self, c: usize) -> &[u32] {
-        &self.lists[c * self.k..(c + 1) * self.k]
+        self.lists.neighbors(c)
     }
 
     /// The flattened `n × k` lists, the layout uploaded to the device.
     #[inline]
     pub fn flat(&self) -> &[u32] {
-        &self.lists
+        self.lists.flat()
     }
 
     /// The symmetric closure of city `c`: every `b` with `b ∈ knn(c)` or
@@ -108,7 +92,7 @@ impl CandidateLists {
 
     /// Bytes held by the lists and closure (memory-budget reporting).
     pub fn bytes(&self) -> usize {
-        core::mem::size_of_val(&self.lists[..])
+        self.lists.bytes()
             + core::mem::size_of_val(&self.closure_offsets[..])
             + core::mem::size_of_val(&self.closure[..])
     }
@@ -141,111 +125,13 @@ impl CandidateLists {
     }
 }
 
-/// Dense O(n²) reference path: per-city selection of the k smallest
-/// `(distance, index)` pairs, then a full sort of those.
-fn brute_knn(inst: &Instance, k: usize) -> Vec<u32> {
-    let n = inst.len();
-    let mut lists = Vec::with_capacity(n * k);
-    let mut scratch: Vec<(i32, u32)> = Vec::with_capacity(n - 1);
-    for i in 0..n {
-        scratch.clear();
-        for j in 0..n {
-            if i != j {
-                scratch.push((inst.dist(i, j), j as u32));
-            }
-        }
-        if k < scratch.len() {
-            scratch.select_nth_unstable(k - 1);
-            scratch.truncate(k);
-        }
-        scratch.sort_unstable();
-        lists.extend(scratch.iter().map(|&(_, j)| j));
-    }
-    lists
-}
-
-/// Sub-quadratic path: a ~1-point-per-cell bucket grid queried with
-/// expanding square rings. Distances still come from `inst.dist`, so
-/// ties and rounding match `brute_knn` exactly.
-fn grid_knn(inst: &Instance, k: usize) -> Vec<u32> {
-    let pts = inst.points();
-    let n = pts.len();
-    let (mut min_x, mut min_y) = (f32::INFINITY, f32::INFINITY);
-    let (mut max_x, mut max_y) = (f32::NEG_INFINITY, f32::NEG_INFINITY);
-    for p in pts {
-        min_x = min_x.min(p.x);
-        min_y = min_y.min(p.y);
-        max_x = max_x.max(p.x);
-        max_y = max_y.max(p.y);
-    }
-    let side = ((max_x - min_x).max(max_y - min_y)).max(1e-6);
-    let cells_per_side = (n as f64).sqrt().ceil().max(1.0) as usize;
-    let cell = side / cells_per_side as f32;
-    let cols = ((max_x - min_x) / cell).floor() as usize + 1;
-    let rows = ((max_y - min_y) / cell).floor() as usize + 1;
-    let cell_of = |p: &Point| -> (usize, usize) {
-        let cx = (((p.x - min_x) / cell) as usize).min(cols - 1);
-        let cy = (((p.y - min_y) / cell) as usize).min(rows - 1);
-        (cx, cy)
-    };
-    let mut buckets = vec![Vec::new(); cols * rows];
-    for (i, p) in pts.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        buckets[cy * cols + cx].push(i as u32);
-    }
-
-    let mut lists = Vec::with_capacity(n * k);
-    let mut found: Vec<(i32, u32)> = Vec::new();
-    let max_ring = cols.max(rows);
-    for (i, p) in pts.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        found.clear();
-        for ring in 0..=max_ring {
-            let r = ring as isize;
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    if dx.abs().max(dy.abs()) != r {
-                        continue;
-                    }
-                    let (x, y) = (cx as isize + dx, cy as isize + dy);
-                    if x < 0 || y < 0 || x >= cols as isize || y >= rows as isize {
-                        continue;
-                    }
-                    for &j in &buckets[y as usize * cols + x as usize] {
-                        if j as usize != i {
-                            found.push((inst.dist(i, j as usize), j));
-                        }
-                    }
-                }
-            }
-            // Any point outside the visited rings lies at Euclidean
-            // distance ≥ ring·cell, hence at rounded distance
-            // ≥ ring·cell − ½. Requiring kth + 1 < ring·cell therefore
-            // guarantees every unvisited point sorts strictly after the
-            // kth candidate, even with i32 rounding — the exactness the
-            // grid-vs-brute cross-check relies on.
-            if ring >= 1 && found.len() >= k {
-                found.sort_unstable();
-                found.truncate(4 * k);
-                let kth = found[k - 1].0;
-                if (kth as f32) + 1.0 < (ring as f32) * cell {
-                    break;
-                }
-            }
-        }
-        found.sort_unstable();
-        found.truncate(k);
-        lists.extend(found.iter().map(|&(_, j)| j));
-    }
-    lists
-}
-
 /// Union the directed k-NN lists into the symmetric closure, as CSR
 /// with each row sorted and deduplicated.
-fn symmetric_closure(n: usize, k: usize, lists: &[u32]) -> (Vec<u32>, Vec<u32>) {
+fn symmetric_closure(n: usize, lists: &NeighborLists) -> (Vec<u32>, Vec<u32>) {
+    let k = lists.k();
     let mut adj: Vec<Vec<u32>> = vec![Vec::with_capacity(k); n];
     for a in 0..n {
-        for &b in &lists[a * k..(a + 1) * k] {
+        for &b in lists.neighbors(a) {
             adj[a].push(b);
             adj[b as usize].push(a as u32);
         }
@@ -279,11 +165,15 @@ mod tests {
 
     #[test]
     fn grid_and_brute_paths_agree_bit_for_bit() {
-        // n and k chosen so `build` takes the grid path; compare against
-        // the dense reference directly.
+        // n and k chosen so `build` takes the grid path; the same
+        // distances as an explicit matrix take the dense path.
         let inst = scatter(400, 3);
+        let n = inst.len();
+        let full = (0..n * n).map(|x| inst.dist(x / n, x % n)).collect();
+        let m = tsp_core::ExplicitMatrix::from_full(n, full).unwrap();
+        let dense = Instance::from_matrix("dense", m, None).unwrap();
         let built = CandidateLists::build(&inst, 8);
-        assert_eq!(built.flat(), &brute_knn(&inst, 8)[..]);
+        assert_eq!(built.flat(), CandidateLists::build(&dense, 8).flat());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * [`lut::DistanceLut`] — the O(n²) look-up table the paper's Table I
 //!   argues *against*, with exact memory accounting so the table can be
 //!   regenerated.
-//! * [`neighbor::NeighborLists`] — k-nearest-neighbour candidate lists for
-//!   the pruned-neighbourhood extension (the paper's future work §VII).
+//! * [`neighbor::NeighborLists`] — exact k-nearest-neighbour lists (the
+//!   paper's future work §VII, neighbourhood pruning), from the
+//!   [`neighbor::KnnGrid`] bucket grid or a brute-force scan: the one
+//!   k-NN builder behind construction, candidate lists and pruned search.
 //!
 //! All distances are integral (`i64` accumulators over `i32` edge weights),
 //! following the TSPLIB95 convention the paper uses (`(int)(sqrtf(...)+0.5f)`).

@@ -1,11 +1,13 @@
-//! Property tests for the k-nearest-neighbour candidate-list builder
-//! ([`CandidateLists`]): list shape, true-nearest contents against an
+//! Property tests for the k-nearest-neighbour builder
+//! ([`tsp_core::neighbor`]) through [`CandidateLists`] and the per-city
+//! [`KnnGrid`] query: list shape, true-nearest contents against an
 //! independent brute force, symmetric-closure consistency, and
 //! no-panic behaviour on degenerate geometry (duplicate coordinates,
 //! collinear fields, n ≤ k).
 
 use proptest::prelude::*;
 use tsp_2opt::CandidateLists;
+use tsp_core::neighbor::KnnGrid;
 use tsp_core::{Instance, Metric, Point, Tour};
 
 fn instance_from(coords: Vec<(i32, i32)>) -> Instance {
@@ -20,6 +22,16 @@ fn instance_from(coords: Vec<(i32, i32)>) -> Instance {
 /// force duplicate coordinates and massive distance ties.
 fn arb_coords(max: i32) -> impl Strategy<Value = Vec<(i32, i32)>> {
     (4usize..80).prop_flat_map(move |n| proptest::collection::vec((0i32..max, 0i32..max), n))
+}
+
+/// n in [130, 600) points on a `side`×`side` lattice with spacing
+/// `step`, so the grid path runs at Multiple Fragment's k = 12 and the
+/// candidate kernels' k = 16, over ties and duplicate points.
+fn arb_lattice() -> impl Strategy<Value = Vec<(i32, i32)>> {
+    (130usize..600, 5i32..40, 1i32..20).prop_flat_map(|(n, side, step)| {
+        proptest::collection::vec((0..side, 0..side), n)
+            .prop_map(move |c| c.into_iter().map(|(x, y)| (x * step, y * step)).collect())
+    })
 }
 
 /// The builder's documented ordering, recomputed from scratch: rounded
@@ -116,6 +128,46 @@ proptest! {
         for c in 0..n {
             let want = brute_neighbors(&inst, c, kk);
             prop_assert_eq!(cl.neighbors(c), want.as_slice());
+        }
+    }
+}
+
+proptest! {
+    // n up to 600 with brute-force oracles: fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn lattices_get_exactly_the_true_k_nearest(
+        coords in arb_lattice(),
+        k_idx in 0usize..4,
+    ) {
+        let k = [1, 5, 12, 16][k_idx];
+        let inst = instance_from(coords);
+        let cl = CandidateLists::build(&inst, k);
+        for c in 0..inst.len() {
+            let want = brute_neighbors(&inst, c, k);
+            prop_assert_eq!(cl.neighbors(c), want.as_slice(), "city {}", c);
+        }
+    }
+
+    #[test]
+    fn the_grid_query_is_exact_at_the_nearest_neighbour_growth_steps(
+        lattice in arb_lattice(),
+        scatter in arb_coords(1000),
+    ) {
+        // Nearest-neighbour construction asks for k = 8, 32, 128, ...
+        // until an unvisited city shows up; k may pass n - 1.
+        for inst in [instance_from(lattice), instance_from(scatter)] {
+            let grid = KnnGrid::new(&inst).unwrap();
+            let mut found = Vec::new();
+            for c in 0..inst.len() {
+                let all = brute_neighbors(&inst, c, inst.len());
+                for k in [8, 32, 128] {
+                    grid.knn(c, k, &mut found);
+                    let got: Vec<u32> = found.iter().map(|&(_, j)| j).collect();
+                    prop_assert_eq!(&got[..], &all[..k.min(all.len())], "city {} k {}", c, k);
+                }
+            }
         }
     }
 }

@@ -128,3 +128,32 @@ fn arb_tour_strategy_compiles_and_runs() {
     t.validate().unwrap();
     assert_eq!(t.len(), 12);
 }
+
+#[test]
+fn parallel_cpu_breaks_ties_like_the_gpu_and_the_reference() {
+    // Cities on a 6 × 6 integer lattice (duplicates allowed): many moves
+    // share the best delta, so any chunk split must still return the
+    // lowest (i, j) among them.
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(2024);
+    for case in 0..300 {
+        let n = rng.gen_range(6..=60);
+        let pts = (0..n)
+            .map(|_| Point::new(rng.gen_range(0..6) as f32, rng.gen_range(0..6) as f32))
+            .collect();
+        let inst = Instance::new("lattice", Metric::Euc2d, pts).unwrap();
+        let tour = Tour::random(n, &mut rng);
+        let (expected, _) = SequentialTwoOpt::new().best_move(&inst, &tour).unwrap();
+        let mut gpu = GpuTwoOpt::new(spec::gtx_680_cuda());
+        assert_eq!(
+            gpu.best_move(&inst, &tour).unwrap().0,
+            expected,
+            "case {case}"
+        );
+        for chunks in [1, 3, 16] {
+            let mut cpu = CpuParallelTwoOpt::new().with_chunks(chunks);
+            let (got, _) = cpu.best_move(&inst, &tour).unwrap();
+            assert_eq!(got, expected, "case {case}, {chunks} chunks");
+        }
+    }
+}
