@@ -589,7 +589,7 @@ mod tests {
                     .with_max_iterations(iters)
                     .with_seed(3),
             )
-            .record(flight)
+            .observe(tsp::twoopt::Observer::none().with_flight(flight))
             .build();
         solver.run(&inst).unwrap();
         let recording = solver.recording(&inst).unwrap();
@@ -707,7 +707,7 @@ mod tests {
                     .with_max_iterations(30u64)
                     .with_seed(4),
             )
-            .record(flight)
+            .observe(tsp::twoopt::Observer::none().with_flight(flight))
             .build();
         solver.run(&inst).unwrap();
         let rec = solver.recording(&inst).unwrap();

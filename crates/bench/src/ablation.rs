@@ -39,6 +39,7 @@ pub fn memory_variants_traced(n: usize, recorder: &tsp_trace::Recorder) -> Vec<R
     let dev = spec::gtx_680_cuda();
     let inst = generate("abl-mem", n, Style::Uniform, 1);
     let tour = Tour::identity(n);
+    let observer = tsp_2opt::Observer::none().with_recorder(recorder.clone());
     [
         ("ordered + shared (paper)", Strategy::Shared),
         ("unordered + shared (Fig. 5)", Strategy::Unordered),
@@ -48,7 +49,7 @@ pub fn memory_variants_traced(n: usize, recorder: &tsp_trace::Recorder) -> Vec<R
     .map(|(label, strategy)| {
         let mut eng = GpuTwoOpt::new(dev.clone())
             .with_strategy(strategy)
-            .with_recorder(recorder.clone());
+            .with_observer(&observer);
         let (_, p) = eng.best_move(&inst, &tour).expect("kernel runs");
         Row {
             label: label.into(),
@@ -240,11 +241,11 @@ pub fn device_resident(sizes: &[usize]) -> Vec<Row> {
 
             let mut t_serial = start.clone();
             let mut serial = GpuTwoOpt::new(dev.clone());
-            let a = optimize(&mut serial, &inst, &mut t_serial, opts).expect("descent");
+            let a = optimize(&mut serial, &inst, &mut t_serial, opts.clone()).expect("descent");
 
             let mut t_resident = start.clone();
             let mut resident = GpuTwoOpt::new(dev.clone()).with_strategy(Strategy::DeviceResident);
-            let b = optimize(&mut resident, &inst, &mut t_resident, opts).expect("descent");
+            let b = optimize(&mut resident, &inst, &mut t_resident, opts.clone()).expect("descent");
             assert_eq!(
                 t_serial.as_slice(),
                 t_resident.as_slice(),

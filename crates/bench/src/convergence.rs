@@ -10,7 +10,7 @@
 //! comparison a one-file plot instead of a scripting exercise.
 
 use gpu_sim::spec;
-use tsp_2opt::{GpuTwoOpt, Strategy};
+use tsp_2opt::{GpuTwoOpt, Observer, Strategy};
 use tsp_core::Tour;
 use tsp_ils::{iterated_local_search, IlsOptions};
 use tsp_telemetry::{Journal, JournalRecord};
@@ -58,7 +58,7 @@ pub fn compute(n: usize, iterations: u64, seed: u64) -> Vec<StrategyJournal> {
                 IlsOptions::new()
                     .with_max_iterations(iterations)
                     .with_seed(seed)
-                    .with_journal(journal.clone()),
+                    .with_observer(Observer::none().with_journal(journal.clone())),
             )
             .expect("generated instances are coordinate-based");
             StrategyJournal {

@@ -8,7 +8,7 @@
 
 use crate::common::{fmt_time, render_table};
 use gpu_sim::spec;
-use tsp_2opt::{GpuTwoOpt, SequentialTwoOpt};
+use tsp_2opt::{GpuTwoOpt, Observer, SequentialTwoOpt};
 use tsp_core::Tour;
 use tsp_ils::{iterated_local_search, IlsOptions, TracePoint};
 use tsp_trace::Recorder;
@@ -55,8 +55,9 @@ pub fn compute_traced(n: usize, iterations: u64, seed: u64, recorder: &Recorder)
     let opts = IlsOptions::new()
         .with_max_iterations(iterations)
         .with_seed(seed);
-    let gpu_opts = opts.clone().with_recorder(recorder.clone());
-    let mut gpu_engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_recorder(recorder.clone());
+    let observer = Observer::none().with_recorder(recorder.clone());
+    let gpu_opts = opts.clone().with_observer(observer.clone());
+    let mut gpu_engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
     let gpu = iterated_local_search(&mut gpu_engine, &inst, start.clone(), gpu_opts)
         .expect("generated instances are coordinate-based");
     let mut cpu_engine = SequentialTwoOpt::new();

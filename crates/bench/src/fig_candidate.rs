@@ -28,7 +28,7 @@ use tsp_2opt::gpu::model::{
     model_auto_sweep, model_candidate_resident_sweep, model_candidate_sweep,
     model_device_resident_sweep,
 };
-use tsp_2opt::{optimize, GpuTwoOpt, SearchOptions, Strategy};
+use tsp_2opt::{optimize, GpuTwoOpt, Observer, SearchOptions, Strategy};
 use tsp_construction::multiple_fragment;
 use tsp_ils::{iterated_local_search, IlsOptions};
 use tsp_telemetry::Journal;
@@ -171,7 +171,7 @@ pub fn convergence_journals(n: usize, iterations: u64, seed: u64) -> Vec<Strateg
             IlsOptions::new()
                 .with_max_iterations(iterations)
                 .with_seed(seed)
-                .with_journal(journal.clone()),
+                .with_observer(Observer::none().with_journal(journal.clone())),
         )
         .expect("generated instances are coordinate-based");
         StrategyJournal {

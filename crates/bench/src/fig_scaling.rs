@@ -70,7 +70,7 @@ pub fn compute(n: usize, shards: usize, iterations: u64, seed: u64) -> Vec<Row> 
                     opts.clone(),
                 )
                 .expect("generated instances are coordinate-based");
-            let wall = out.wall_seconds();
+            let wall = out.modeled_makespan_seconds();
             let base = *baseline.get_or_insert(wall);
             rows.push(Row {
                 devices,

@@ -46,7 +46,7 @@ pub fn compute(n: usize, seed: u64) -> Vec<Row> {
             let solution = Solver::builder()
                 .construction(Construction::Identity)
                 .strategy(strategy)
-                .profiler(prof.clone())
+                .observe(Observer::none().with_prof(prof.clone()))
                 .build()
                 .run(&inst)
                 .expect("generated instances are coordinate-based");

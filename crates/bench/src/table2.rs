@@ -14,7 +14,7 @@
 use crate::common::{fmt_time, render_table};
 use gpu_sim::spec;
 use tsp_2opt::gpu::model::{model_auto_sweep, model_device_resident_sweep};
-use tsp_2opt::{optimize_with_recorder, GpuTwoOpt, SearchOptions, TwoOptEngine};
+use tsp_2opt::{optimize, GpuTwoOpt, Observer, SearchOptions, TwoOptEngine};
 use tsp_construction::multiple_fragment;
 use tsp_trace::Recorder;
 use tsp_tsplib::catalog::TABLE2_INSTANCES;
@@ -65,6 +65,7 @@ pub fn compute_traced(max_functional_n: usize, recorder: &Recorder) -> Vec<Row> 
     // Sweeps-per-city ratio observed on functional rows, used to
     // extrapolate time-to-minimum for model-only rows.
     let mut sweep_ratio: f64 = 0.25;
+    let observer = Observer::none().with_recorder(recorder.clone());
 
     for entry in TABLE2_INSTANCES {
         let n = entry.n;
@@ -72,20 +73,15 @@ pub fn compute_traced(max_functional_n: usize, recorder: &Recorder) -> Vec<Row> 
             let inst = entry.instance();
             let mut tour = multiple_fragment(&inst);
             let initial_len = tour.length(&inst);
-            let mut engine = GpuTwoOpt::new(dev_spec.clone()).with_recorder(recorder.clone());
+            let mut engine = GpuTwoOpt::new(dev_spec.clone()).with_observer(&observer);
             // One sweep for the single-run columns.
             let (_, sweep) = engine
                 .best_move(&inst, &tour)
                 .expect("catalog instances are coordinate-based");
             // Full descent for the time-to-minimum columns.
-            let stats = optimize_with_recorder(
-                &mut engine,
-                &inst,
-                &mut tour,
-                SearchOptions::default(),
-                recorder,
-            )
-            .expect("descent cannot fail on a valid instance");
+            let search = SearchOptions::new().with_observer(observer.clone());
+            let stats = optimize(&mut engine, &inst, &mut tour, search)
+                .expect("descent cannot fail on a valid instance");
             sweep_ratio = stats.sweeps as f64 / n as f64;
             rows.push(Row {
                 name: entry.name(),

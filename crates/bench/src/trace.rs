@@ -10,8 +10,8 @@
 use std::fs;
 
 use gpu_sim::spec;
-use tsp_2opt::GpuTwoOpt;
 use tsp_2opt::TwoOptEngine;
+use tsp_2opt::{GpuTwoOpt, Observer};
 use tsp_core::Tour;
 use tsp_ils::{iterated_local_search, IlsOptions, IlsOutcome};
 use tsp_trace::{chrome_trace, MetricsSnapshot, Recorder, RooflineReport};
@@ -69,11 +69,12 @@ pub fn traced_ils(n: usize, iterations: u64, seed: u64, recorder: &Recorder) -> 
     let inst = generate("traced-ils", n, Style::Clustered { clusters: 16 }, seed);
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
     let start = Tour::random(n, &mut rng);
-    let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_recorder(recorder.clone());
+    let observer = Observer::none().with_recorder(recorder.clone());
+    let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
     let opts = IlsOptions::new()
         .with_max_iterations(iterations)
         .with_seed(seed)
-        .with_recorder(recorder.clone());
+        .with_observer(observer);
     iterated_local_search(&mut engine, &inst, start, opts)
         .expect("generated instances are coordinate-based")
 }
@@ -82,10 +83,11 @@ pub fn traced_ils(n: usize, iterations: u64, seed: u64, recorder: &Recorder) -> 
 /// model-priced, so its `--trace-out` path records a functional sample
 /// of the kernels the model prices).
 pub fn traced_sweep_sample(sizes: &[usize], recorder: &Recorder) {
+    let observer = Observer::none().with_recorder(recorder.clone());
     for &n in sizes {
         let inst = generate("traced-sweep", n, Style::Uniform, 9);
         let tour = Tour::identity(n);
-        let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_recorder(recorder.clone());
+        let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
         engine
             .best_move(&inst, &tour)
             .expect("generated instances are coordinate-based");

@@ -26,6 +26,7 @@ use crate::gpu::small::{GlobalOnlyKernel, OrderedSharedKernel, UnorderedSharedKe
 use crate::gpu::tiled::{auto_tile, TiledKernel};
 use crate::indexing::{pair_count, tile_pair_count};
 use crate::neighbors::CandidateLists;
+use crate::observer::Observer;
 use crate::search::{EngineError, StepProfile, TwoOptEngine};
 use gpu_sim::{
     AtomicDeviceBuffer, Device, DeviceBuffer, DeviceSpec, Kernel, KernelProfile, LaunchConfig,
@@ -268,66 +269,23 @@ impl GpuTwoOpt {
         &self.device
     }
 
-    /// Attach a profiler timeline to the underlying device; every sweep's
-    /// H2D copy, kernel launch and D2H readback is recorded on it.
+    /// Attach `observer`'s device-side sinks to the underlying device
+    /// (`gpu_sim::Device::attach`): every transfer and launch is
+    /// recorded, counted and profiled, and the memory ledger sees this
+    /// engine's buffer labels (`"coords"`, `"positions"`,
+    /// `"candidate_lists"`, `"active_set"`, `"best_out"`,
+    /// `"resident_coords"`). Pass the same observer to the descent
+    /// ([`crate::SearchOptions::observer`]) to nest the device events in
+    /// the sweeps.
     ///
     /// # Panics
     /// When the device is already shared (another engine holds it):
-    /// attach sinks before handing the device out, or attach them through
-    /// `DevicePool::attach_recorder` for pooled devices.
-    pub fn with_timeline(mut self, timeline: gpu_sim::Timeline) -> Self {
+    /// attach before handing the device out, or through
+    /// `DevicePool::attach` for pooled devices.
+    pub fn with_observer(mut self, observer: &Observer) -> Self {
         Arc::get_mut(&mut self.device)
-            .expect("attach the timeline before the device is shared")
-            .attach_timeline(timeline);
-        self
-    }
-
-    /// Attach a structured-event recorder to the underlying device;
-    /// every sweep's transfers and kernel launches are recorded, and a
-    /// `TraceEvent::Device` describing the device is emitted immediately.
-    /// Pair with `optimize_with_recorder` (same recorder) for
-    /// sweep-level context around the device events.
-    ///
-    /// # Panics
-    /// When the device is already shared — see [`GpuTwoOpt::with_timeline`].
-    pub fn with_recorder(mut self, recorder: gpu_sim::Recorder) -> Self {
-        Arc::get_mut(&mut self.device)
-            .expect("attach the recorder before the device is shared")
-            .attach_recorder(recorder);
-        self
-    }
-
-    /// Attach a live-metrics telemetry handle to the underlying device;
-    /// every launch and transfer updates counters/histograms on its
-    /// registry. Pair with `optimize_observed` (same handle) for
-    /// sweep-level metrics around the device ones.
-    ///
-    /// # Panics
-    /// When the device is already shared — see [`GpuTwoOpt::with_timeline`];
-    /// use `DevicePool::attach_telemetry` for pooled devices.
-    pub fn with_telemetry(mut self, telemetry: &gpu_sim::Telemetry) -> Self {
-        Arc::get_mut(&mut self.device)
-            .expect("attach telemetry before the device is shared")
-            .attach_telemetry(telemetry);
-        self
-    }
-
-    /// Attach a span/memory profiler to the underlying device: every
-    /// transfer and launch records a leaf span on the profiler's modeled
-    /// clock, and every buffer alloc/free/upload is journaled in its
-    /// memory ledger under this engine's buffer labels (`"coords"`,
-    /// `"positions"`, `"candidate_lists"`, `"active_set"`, `"best_out"`,
-    /// `"resident_coords"`). Pair with
-    /// [`crate::search::optimize_profiled`] (same handle) for the
-    /// structural spans around the device leaves.
-    ///
-    /// # Panics
-    /// When the device is already shared — see [`GpuTwoOpt::with_timeline`];
-    /// use `DevicePool::attach_profiler` for pooled devices.
-    pub fn with_profiler(mut self, prof: &tsp_prof::Profiler) -> Self {
-        Arc::get_mut(&mut self.device)
-            .expect("attach the profiler before the device is shared")
-            .attach_profiler(prof);
+            .expect("attach the observer before the device is shared")
+            .attach(&observer.recorder, &observer.telemetry, &observer.prof);
         self
     }
 

@@ -30,6 +30,16 @@
 //! * [`threeopt`] — a sequential 3-opt for quality comparisons;
 //! * [`gpu::MultiGpuTwoOpt`] — the §VI multi-device decomposition.
 //!
+//! ## Observation
+//!
+//! [`optimize`] is the one descent entry point. It reports into the
+//! [`Observer`] carried by [`SearchOptions::observer`] — one handle over
+//! the trace recorder, telemetry registry, convergence journal, flight
+//! recorder and profiler, all detached by default. Attach the same
+//! observer to a GPU engine's device with [`GpuTwoOpt::with_observer`]
+//! to nest the kernel and transfer events inside the sweeps. No sink
+//! ever changes a move or a modeled time.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -63,6 +73,7 @@ pub mod flops;
 pub mod gpu;
 pub mod indexing;
 pub mod neighbors;
+pub mod observer;
 pub mod oropt;
 pub mod pruned;
 pub mod search;
@@ -76,10 +87,8 @@ pub use bestmove::BestMove;
 pub use cpu_parallel::CpuParallelTwoOpt;
 pub use gpu::{GpuOrOpt, GpuTwoOpt, MultiGpuTwoOpt, Strategy};
 pub use neighbors::CandidateLists;
-pub use search::{
-    optimize, optimize_flight, optimize_observed, optimize_profiled, optimize_with_recorder,
-    EngineError, SearchOptions, SearchStats, StepProfile, TwoOptEngine,
-};
+pub use observer::Observer;
+pub use search::{optimize, EngineError, SearchOptions, SearchStats, StepProfile, TwoOptEngine};
 pub use sequential::{PivotRule, SequentialTwoOpt};
 
 /// Convenient glob imports for applications.
@@ -87,9 +96,9 @@ pub mod prelude {
     pub use crate::cpu_parallel::CpuParallelTwoOpt;
     pub use crate::gpu::{GpuTwoOpt, Strategy};
     pub use crate::neighbors::CandidateLists;
+    pub use crate::observer::Observer;
     pub use crate::search::{
-        optimize, optimize_flight, optimize_observed, optimize_profiled, optimize_with_recorder,
-        EngineError, SearchOptions, SearchStats, StepProfile, TwoOptEngine,
+        optimize, EngineError, SearchOptions, SearchStats, StepProfile, TwoOptEngine,
     };
     pub use crate::sequential::{PivotRule, SequentialTwoOpt};
 }

@@ -9,12 +9,12 @@
 //! Algorithm 1; ILS (crate `tsp-ils`) wraps it with perturbation.
 
 use crate::bestmove::{pack, BestMove};
+use crate::observer::Observer;
 use std::time::Instant;
 use tsp_core::{CoreError, Instance, Tour};
-use tsp_prof::Profiler;
-use tsp_replay::{FlightRecorder, ReplayEvent};
-use tsp_telemetry::{Counter, Histogram, Registry, Telemetry, DELTA_BUCKETS};
-use tsp_trace::{Recorder, SweepCost, TraceEvent};
+use tsp_replay::ReplayEvent;
+use tsp_telemetry::{Counter, Histogram, Registry, DELTA_BUCKETS};
+use tsp_trace::{SweepCost, TraceEvent};
 
 /// Cost of one `best_move` evaluation (one full sweep of the candidate
 /// pairs).
@@ -145,12 +145,22 @@ pub trait TwoOptEngine {
 /// Non-exhaustive: construct with [`SearchOptions::new`] (or `default()`)
 /// and customize through the setters, so future fields are not semver
 /// breaks.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SearchOptions {
     /// Stop after this many sweeps even if not at a local minimum
     /// (`None` = run to the local minimum).
     pub max_sweeps: Option<u64>,
+    /// Sinks the descent reports into (all detached by default): the
+    /// recorder gets `DescentBegin`/`SweepBegin`/`SweepEnd`/`DescentEnd`
+    /// events, telemetry the `tsp_search_*` families, the flight
+    /// recorder one `Sweep` per applied move (packed word plus decoded
+    /// `(i, j, delta)`), and the profiler a `"descent"` span with one
+    /// `"sweep"` span per query and an `"apply_move"` span per host-side
+    /// reversal. Attach the same observer to the engine's device
+    /// ([`crate::GpuTwoOpt::with_observer`]) to nest the device events
+    /// and leaves inside them.
+    pub observer: Observer,
 }
 
 impl SearchOptions {
@@ -163,6 +173,12 @@ impl SearchOptions {
     /// `None` to run to the local minimum (the default).
     pub fn with_max_sweeps(mut self, max: impl Into<Option<u64>>) -> Self {
         self.max_sweeps = max.into();
+        self
+    }
+
+    /// Report the descent into `observer`'s sinks.
+    pub fn with_observer(mut self, observer: Observer) -> Self {
+        self.observer = observer;
         self
     }
 }
@@ -206,7 +222,7 @@ impl SearchStats {
 }
 
 /// Live-metric instruments of the descent driver, resolved against the
-/// shared registry once per [`optimize_observed`] call (the sweep loop
+/// shared registry once per [`optimize`] call (the sweep loop
 /// itself never touches the registry lock).
 struct SearchMetrics {
     sweeps: Counter,
@@ -245,101 +261,23 @@ impl SearchMetrics {
 /// (or `opts.max_sweeps`), applying moves on the host exactly as the
 /// paper does (the kernel finds the move; the CPU reverses the segment
 /// and re-orders the coordinates).
+///
+/// The search reports into `opts.observer`. Its sinks only observe:
+/// the move sequence and modeled times are bit-identical with any of
+/// them attached or detached (pinned by `tests/observer_differential.rs`).
 pub fn optimize<E: TwoOptEngine + ?Sized>(
     engine: &mut E,
     inst: &Instance,
     tour: &mut Tour,
     opts: SearchOptions,
 ) -> Result<SearchStats, EngineError> {
-    optimize_with_recorder(engine, inst, tour, opts, &Recorder::disabled())
-}
-
-/// [`optimize`], additionally emitting descent/sweep events on
-/// `recorder`. With a disabled recorder this is exactly [`optimize`] —
-/// the instrumentation is a handful of skipped branches, so modeled
-/// times and chosen moves are identical either way.
-pub fn optimize_with_recorder<E: TwoOptEngine + ?Sized>(
-    engine: &mut E,
-    inst: &Instance,
-    tour: &mut Tour,
-    opts: SearchOptions,
-    recorder: &Recorder,
-) -> Result<SearchStats, EngineError> {
-    optimize_observed(engine, inst, tour, opts, recorder, &Telemetry::detached())
-}
-
-/// [`optimize_with_recorder`], additionally updating sweep/move
-/// counters and the best-move delta histogram on `telemetry`'s
-/// registry. Like the recorder, a detached handle reduces every added
-/// instruction to a skipped `Option` branch — the move sequence and
-/// modeled times are bit-identical with telemetry on or off (pinned by
-/// `tests/telemetry_differential.rs`).
-pub fn optimize_observed<E: TwoOptEngine + ?Sized>(
-    engine: &mut E,
-    inst: &Instance,
-    tour: &mut Tour,
-    opts: SearchOptions,
-    recorder: &Recorder,
-    telemetry: &Telemetry,
-) -> Result<SearchStats, EngineError> {
-    optimize_flight(
-        engine,
-        inst,
-        tour,
-        opts,
-        recorder,
-        telemetry,
-        &FlightRecorder::detached(),
-    )
-}
-
-/// [`optimize_observed`], additionally appending one
-/// [`ReplayEvent::Sweep`] per *applied* move to `flight` — the packed
-/// best-move word, the decoded `(i, j, delta)`, in application order.
-/// The sweep stream plus the start tour is enough to reconstruct every
-/// intermediate tour of the descent without re-running it. A detached
-/// flight recorder reduces to [`optimize_observed`] exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_flight<E: TwoOptEngine + ?Sized>(
-    engine: &mut E,
-    inst: &Instance,
-    tour: &mut Tour,
-    opts: SearchOptions,
-    recorder: &Recorder,
-    telemetry: &Telemetry,
-    flight: &FlightRecorder,
-) -> Result<SearchStats, EngineError> {
-    optimize_profiled(
-        engine,
-        inst,
-        tour,
-        opts,
+    let Observer {
         recorder,
         telemetry,
         flight,
-        &Profiler::detached(),
-    )
-}
-
-/// [`optimize_flight`], additionally recording structural spans on
-/// `prof`: one `"descent"` span around the whole run, a `"sweep"` span
-/// per `best_move` query (the engine's device leaves — `h2d`,
-/// `kernel:*`, `d2h` — nest inside it when the same profiler is
-/// attached to the device), and an `"apply_move"` span around each
-/// host-side segment reversal. A detached profiler reduces to
-/// [`optimize_flight`] exactly — one skipped branch per span, pinned by
-/// `tests/prof_differential.rs`.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_profiled<E: TwoOptEngine + ?Sized>(
-    engine: &mut E,
-    inst: &Instance,
-    tour: &mut Tour,
-    opts: SearchOptions,
-    recorder: &Recorder,
-    telemetry: &Telemetry,
-    flight: &FlightRecorder,
-    prof: &Profiler,
-) -> Result<SearchStats, EngineError> {
+        prof,
+        ..
+    } = &opts.observer;
     let _descent = prof.span("descent");
     let start = Instant::now();
     let metrics = telemetry.registry().map(|r| SearchMetrics::register(r));
@@ -527,9 +465,7 @@ mod tests {
             &mut engine,
             &inst,
             &mut tour,
-            SearchOptions {
-                max_sweeps: Some(3),
-            },
+            SearchOptions::new().with_max_sweeps(3),
         )
         .unwrap();
         assert_eq!(stats.sweeps, 3);
@@ -570,13 +506,12 @@ mod tests {
             ],
             cursor: 0,
         };
-        let rec = Recorder::enabled();
-        let stats = optimize_with_recorder(
+        let rec = tsp_trace::Recorder::enabled();
+        let stats = optimize(
             &mut engine,
             &inst,
             &mut tour,
-            SearchOptions::default(),
-            &rec,
+            SearchOptions::new().with_observer(Observer::none().with_recorder(rec.clone())),
         )
         .unwrap();
         let events = rec.events();
@@ -637,14 +572,12 @@ mod tests {
             ],
             cursor: 0,
         };
-        let telemetry = Telemetry::attached();
-        optimize_observed(
+        let telemetry = tsp_telemetry::Telemetry::attached();
+        optimize(
             &mut engine,
             &inst,
             &mut tour,
-            SearchOptions::default(),
-            &Recorder::disabled(),
-            &telemetry,
+            SearchOptions::new().with_observer(Observer::none().with_telemetry(telemetry.clone())),
         )
         .unwrap();
         let reg = telemetry.registry().unwrap();

@@ -9,7 +9,6 @@ use crate::profile::{KernelProfile, TransferProfile};
 use crate::spec::DeviceSpec;
 use crate::stream::EngineClass;
 use crate::stream::{self, EventId, QueuedOp, StreamId, StreamReport, StreamTable};
-use crate::timeline::Timeline;
 use crate::timing;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -29,7 +28,6 @@ pub struct Device {
     spec: DeviceSpec,
     index: u32,
     pool: Arc<MemoryPool>,
-    timeline: Option<Timeline>,
     recorder: Recorder,
     telemetry: Option<DeviceTelemetry>,
     prof: Profiler,
@@ -50,7 +48,6 @@ impl Device {
             spec,
             index,
             pool,
-            timeline: None,
             recorder: Recorder::disabled(),
             telemetry: None,
             prof: Profiler::detached(),
@@ -64,65 +61,30 @@ impl Device {
         self.index
     }
 
-    /// Attach a profiler [`Timeline`]; subsequent launches and transfers
-    /// are recorded on it.
-    pub fn attach_timeline(&mut self, timeline: Timeline) {
-        self.timeline = Some(timeline);
-    }
-
-    /// The attached timeline, if any.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
-    }
-
-    /// Attach a structured-event [`Recorder`]; subsequent launches and
-    /// transfers are recorded on it. Emits one
-    /// [`TraceEvent::Device`] describing this device so downstream
-    /// consumers (roofline reports, trace viewers) know the roofs.
-    pub fn attach_recorder(&mut self, recorder: Recorder) {
+    /// Attach the device-side observation sinks (detached handles cost
+    /// one branch per site). `recorder` gets the kernel, transfer and
+    /// stream events, plus one [`TraceEvent::Device`] describing this
+    /// device right away; `telemetry` gets launch, transfer and
+    /// synchronize metrics labeled with this device's pool index, and
+    /// the `tsp_device_mem_*` gauges; `prof` gets a leaf span per launch
+    /// and transfer, and every allocation, release and upload of this
+    /// device's memory pool in its ledger.
+    pub fn attach(&mut self, recorder: &Recorder, telemetry: &Telemetry, prof: &Profiler) {
         recorder.record_with(|| TraceEvent::Device(self.spec.trace_info()));
-        self.recorder = recorder;
-    }
-
-    /// The attached recorder (disabled by default).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Attach a live-metrics [`Telemetry`] handle; subsequent launches,
-    /// transfers and synchronizations update counters/histograms on its
-    /// registry (labeled with this device's pool index), and the memory
-    /// pool mirrors its live/peak bytes into `tsp_device_mem_*` gauges.
-    /// A detached handle detaches the launch instruments: the hot paths
-    /// go back to a single `Option` branch.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.recorder = recorder.clone();
         self.telemetry = telemetry.registry().map(|r| {
             let t = DeviceTelemetry::register(r, self.index);
             let (live, peak) = t.mem_gauges();
             self.pool.attach_mem_gauges(live, peak);
             t
         });
-    }
-
-    /// Attach a span/memory [`Profiler`]; subsequent launches and
-    /// transfers record leaf spans on its modeled clock, and every
-    /// allocation, release and upload in this device's global-memory
-    /// pool is journaled into its memory ledger (keyed by this device's
-    /// pool index). A detached handle keeps the hot paths at a single
-    /// branch.
-    pub fn attach_profiler(&mut self, prof: &Profiler) {
         self.pool.attach_ledger(prof, self.index);
         self.prof = prof.clone();
     }
 
-    /// The attached profiler (detached by default).
-    pub fn profiler(&self) -> &Profiler {
-        &self.prof
-    }
-
-    /// `true` when a telemetry registry is attached.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
+    /// The attached recorder (disabled by default).
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     /// The device's specification.
@@ -223,19 +185,7 @@ impl Device {
         data: &[T],
         label: &'static str,
     ) -> Result<(DeviceBuffer<T>, TransferProfile), SimError> {
-        let buf = self.alloc_labeled(data.to_vec(), label)?;
-        let bytes = buf.bytes();
-        let seconds = timing::h2d_time(&self.spec, bytes);
-        if let Some(t) = &self.timeline {
-            t.record_h2d(bytes, seconds);
-        }
-        self.recorder.record(TraceEvent::H2d { bytes, seconds });
-        if let Some(t) = &self.telemetry {
-            t.h2d(bytes, seconds);
-        }
-        self.pool.note_upload(bytes, label);
-        self.prof.leaf("h2d", seconds);
-        Ok((buf, TransferProfile { seconds, bytes }))
+        self.copy_in(None, data, label)
     }
 
     /// Model a host→device copy of an existing allocation's refresh.
@@ -256,35 +206,16 @@ impl Device {
         words: &[u64],
     ) -> Result<TransferProfile, SimError> {
         buf.overwrite(words)?;
-        let bytes = buf.bytes();
-        let seconds = timing::h2d_time(&self.spec, bytes);
-        if let Some(t) = &self.timeline {
-            t.record_h2d(bytes, seconds);
-        }
-        self.recorder.record(TraceEvent::H2d { bytes, seconds });
-        if let Some(t) = &self.telemetry {
-            t.h2d(bytes, seconds);
-        }
-        self.pool.note_upload(bytes, buf.label());
-        self.prof.leaf("h2d", seconds);
-        Ok(TransferProfile { seconds, bytes })
+        self.transfer(None, Some(buf.label()), buf.bytes())
     }
 
     /// Read an atomic buffer back to the host, modeling the D2H cost —
     /// step 6 of the paper's Algorithm 2 ("Read the result").
     pub fn copy_from_device(&self, buf: &AtomicDeviceBuffer) -> (Vec<u64>, TransferProfile) {
-        let words = buf.to_vec();
-        let bytes = buf.bytes();
-        let seconds = timing::d2h_time(&self.spec, bytes);
-        if let Some(t) = &self.timeline {
-            t.record_d2h(bytes, seconds);
-        }
-        self.recorder.record(TraceEvent::D2h { bytes, seconds });
-        if let Some(t) = &self.telemetry {
-            t.d2h(bytes, seconds);
-        }
-        self.prof.leaf("d2h", seconds);
-        (words, TransferProfile { seconds, bytes })
+        let profile = self
+            .transfer(None, None, buf.bytes())
+            .expect("only a stream handle can be rejected");
+        (buf.to_vec(), profile)
     }
 
     /// Model a device→host copy of `bytes`.
@@ -313,8 +244,7 @@ impl Device {
     }
 
     /// [`Device::launch`] with a per-launch profiler label, overriding
-    /// [`Kernel::label`] for this launch only — the replacement for the
-    /// deprecated sticky `Timeline::set_label`.
+    /// [`Kernel::label`] for this launch only.
     pub fn launch_labeled<K: Kernel>(
         &self,
         cfg: LaunchConfig,
@@ -399,24 +329,7 @@ impl Device {
         data: &[T],
         label: &'static str,
     ) -> Result<(DeviceBuffer<T>, TransferProfile), SimError> {
-        let buf = self.alloc_labeled(data.to_vec(), label)?;
-        let bytes = buf.bytes();
-        let seconds = timing::h2d_time(&self.spec, bytes);
-        self.enqueue(
-            stream,
-            QueuedOp::Exec {
-                engine: EngineClass::CopyH2d,
-                label: "H2D".into(),
-                seconds,
-                bytes,
-            },
-        )?;
-        if let Some(t) = &self.telemetry {
-            t.h2d(bytes, seconds);
-        }
-        self.pool.note_upload(bytes, label);
-        self.prof.leaf("h2d", seconds);
-        Ok((buf, TransferProfile { seconds, bytes }))
+        self.copy_in(Some(stream), data, label)
     }
 
     /// [`Device::upload_atomic`] on a stream.
@@ -427,23 +340,7 @@ impl Device {
         words: &[u64],
     ) -> Result<TransferProfile, SimError> {
         buf.overwrite(words)?;
-        let bytes = buf.bytes();
-        let seconds = timing::h2d_time(&self.spec, bytes);
-        self.enqueue(
-            stream,
-            QueuedOp::Exec {
-                engine: EngineClass::CopyH2d,
-                label: "H2D".into(),
-                seconds,
-                bytes,
-            },
-        )?;
-        if let Some(t) = &self.telemetry {
-            t.h2d(bytes, seconds);
-        }
-        self.pool.note_upload(bytes, buf.label());
-        self.prof.leaf("h2d", seconds);
-        Ok(TransferProfile { seconds, bytes })
+        self.transfer(Some(stream), Some(buf.label()), buf.bytes())
     }
 
     /// [`Device::copy_from_device`] on a stream. Unlike the serial
@@ -453,23 +350,8 @@ impl Device {
         stream: StreamId,
         buf: &AtomicDeviceBuffer,
     ) -> Result<(Vec<u64>, TransferProfile), SimError> {
-        let words = buf.to_vec();
-        let bytes = buf.bytes();
-        let seconds = timing::d2h_time(&self.spec, bytes);
-        self.enqueue(
-            stream,
-            QueuedOp::Exec {
-                engine: EngineClass::CopyD2h,
-                label: "D2H".into(),
-                seconds,
-                bytes,
-            },
-        )?;
-        if let Some(t) = &self.telemetry {
-            t.d2h(bytes, seconds);
-        }
-        self.prof.leaf("d2h", seconds);
-        Ok((words, TransferProfile { seconds, bytes }))
+        let profile = self.transfer(Some(stream), None, buf.bytes())?;
+        Ok((buf.to_vec(), profile))
     }
 
     /// Record an event at the current tail of `stream`. The event fires
@@ -525,6 +407,71 @@ impl Device {
             }
         }
         report
+    }
+
+    /// Allocate a buffer for `data` and upload it (serially, or queued
+    /// on `stream`).
+    fn copy_in<T: Copy>(
+        &self,
+        stream: Option<StreamId>,
+        data: &[T],
+        label: &'static str,
+    ) -> Result<(DeviceBuffer<T>, TransferProfile), SimError> {
+        let buf = self.alloc_labeled(data.to_vec(), label)?;
+        let profile = self.transfer(stream, Some(label), buf.bytes())?;
+        Ok((buf, profile))
+    }
+
+    /// Model one PCIe transfer of `bytes` — an upload into the buffer
+    /// labeled `upload` in the memory ledger, or a readback when `None`
+    /// — and report it: a serial copy records its `H2d`/`D2h` event now,
+    /// a streamed one queues on `stream` for the scheduler; telemetry,
+    /// the profiler and (for uploads) the ledger see both alike.
+    fn transfer(
+        &self,
+        stream: Option<StreamId>,
+        upload: Option<&'static str>,
+        bytes: u64,
+    ) -> Result<TransferProfile, SimError> {
+        let (seconds, engine, label, event) = match upload {
+            Some(_) => {
+                let seconds = timing::h2d_time(&self.spec, bytes);
+                let event = TraceEvent::H2d { bytes, seconds };
+                (seconds, EngineClass::CopyH2d, "H2D", event)
+            }
+            None => {
+                let seconds = timing::d2h_time(&self.spec, bytes);
+                let event = TraceEvent::D2h { bytes, seconds };
+                (seconds, EngineClass::CopyD2h, "D2H", event)
+            }
+        };
+        match stream {
+            Some(s) => {
+                let label = label.into();
+                self.enqueue(
+                    s,
+                    QueuedOp::Exec {
+                        engine,
+                        label,
+                        seconds,
+                        bytes,
+                    },
+                )?;
+            }
+            None => self.recorder.record(event),
+        }
+        if let Some(t) = &self.telemetry {
+            match upload {
+                Some(_) => t.h2d(bytes, seconds),
+                None => t.d2h(bytes, seconds),
+            }
+        }
+        if let Some(label) = upload {
+            self.pool.note_upload(bytes, label);
+        }
+        self.prof
+            .leaf(if upload.is_some() { "h2d" } else { "d2h" }, seconds);
+        Ok(TransferProfile { seconds, bytes })
     }
 
     fn launch_inner<K: Kernel>(
@@ -587,7 +534,7 @@ impl Device {
         }
         if let Some(s) = stream {
             // Streamed launches defer their timing to the scheduler; the
-            // legacy serialized timeline/recorder records don't apply.
+            // serialized recorder event doesn't apply.
             let resolved = label.unwrap_or_else(|| kernel.label()).to_string();
             self.enqueue(
                 s,
@@ -598,13 +545,9 @@ impl Device {
                     bytes: 0,
                 },
             )?;
-        } else if self.timeline.is_some() || self.recorder.is_enabled() {
-            let resolved = label.unwrap_or_else(|| kernel.label()).to_string();
-            if let Some(t) = &self.timeline {
-                t.record_kernel(seconds, total, &resolved);
-            }
+        } else {
             self.recorder.record_with(|| TraceEvent::Kernel {
-                label: resolved.clone(),
+                label: label.unwrap_or_else(|| kernel.label()).to_string(),
                 seconds,
                 grid_dim: cfg.grid_dim,
                 block_dim: cfg.block_dim,
@@ -772,7 +715,7 @@ mod tests {
     fn recorder_captures_device_transfers_and_kernels() {
         let mut dev = Device::new(gtx_680_cuda());
         let rec = Recorder::enabled();
-        dev.attach_recorder(rec.clone());
+        dev.attach(&rec, &Telemetry::detached(), &Profiler::detached());
         let data: Vec<u32> = (1..=64).collect();
         let (buf, h2d) = dev.copy_to_device(&data).unwrap();
         let out = dev.alloc_atomic(1, 0).unwrap();
@@ -814,9 +757,7 @@ mod tests {
     fn launch_labeled_overrides_kernel_label() {
         let mut dev = Device::new(gtx_680_cuda());
         let rec = Recorder::enabled();
-        dev.attach_recorder(rec.clone());
-        let timeline = Timeline::new();
-        dev.attach_timeline(timeline.clone());
+        dev.attach(&rec, &Telemetry::detached(), &Profiler::detached());
         let data = vec![1u32; 8];
         let (buf, _) = dev.copy_to_device(&data).unwrap();
         let out = dev.alloc_atomic(1, 0).unwrap();
@@ -826,14 +767,9 @@ mod tests {
         };
         dev.launch_labeled(LaunchConfig::new(1, 8), &kernel, "custom-pass")
             .unwrap();
-        // Both sinks see the same resolved label.
         assert!(rec.events().iter().any(|e| matches!(
             e,
             TraceEvent::Kernel { label, .. } if label == "custom-pass"
-        )));
-        assert!(timeline.events().iter().any(|e| matches!(
-            e,
-            crate::timeline::Event::Kernel { label, .. } if label == "custom-pass"
         )));
     }
 
@@ -841,7 +777,7 @@ mod tests {
     fn streamed_ops_defer_timing_to_synchronize() {
         let mut dev = Device::new(gtx_680_cuda());
         let rec = Recorder::enabled();
-        dev.attach_recorder(rec.clone());
+        dev.attach(&rec, &Telemetry::detached(), &Profiler::detached());
         let s0 = dev.create_stream();
         let s1 = dev.create_stream();
         assert_eq!((s0.index(), s1.index()), (0, 1));
@@ -942,8 +878,7 @@ mod tests {
     fn telemetry_counts_launches_and_transfers_exactly() {
         let mut dev = Device::new(gtx_680_cuda());
         let telemetry = Telemetry::attached();
-        dev.attach_telemetry(&telemetry);
-        assert!(dev.telemetry_enabled());
+        dev.attach(&Recorder::disabled(), &telemetry, &Profiler::detached());
         let data: Vec<u32> = (1..=64).collect();
         let (buf, h2d) = dev.copy_to_device(&data).unwrap();
         let out = dev.alloc_atomic(1, 0).unwrap();
@@ -983,7 +918,7 @@ mod tests {
     fn telemetry_counts_streamed_work_and_sync_occupancy() {
         let mut dev = Device::new(gtx_680_cuda());
         let telemetry = Telemetry::attached();
-        dev.attach_telemetry(&telemetry);
+        dev.attach(&Recorder::disabled(), &telemetry, &Profiler::detached());
         let s0 = dev.create_stream();
         let data: Vec<u32> = (1..=64).collect();
         let (buf, _) = dev.copy_to_device_on(s0, &data).unwrap();

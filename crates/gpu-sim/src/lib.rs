@@ -19,6 +19,12 @@
 //!    in [`spec`] turn those counters into deterministic modeled times,
 //!    calibrated against the paper's published measurements.
 //!
+//! Observation is one seam: [`Device::attach`] (and [`DevicePool::attach`]
+//! for every device of a pool) takes the trace [`Recorder`], the live
+//! [`Telemetry`] registry and the span/memory [`Profiler`]; launches and
+//! transfers report into each of them, and detached handles cost one
+//! branch per site.
+//!
 //! The device model covers what the paper's algorithm exercises: a
 //! capacity-limited global memory ([`memory`]), a per-block shared memory
 //! *limit* that forces the paper's §IV.B division scheme, atomic-min
@@ -71,7 +77,6 @@ pub mod pool;
 pub mod profile;
 pub mod spec;
 pub mod stream;
-pub mod timeline;
 pub mod timing;
 
 pub use counters::PerfCounters;
@@ -83,7 +88,6 @@ pub use pool::DevicePool;
 pub use profile::{KernelProfile, TransferProfile};
 pub use spec::{Api, DeviceKind, DeviceSpec};
 pub use stream::{EngineClass, EventId, ScheduledOp, StreamId, StreamReport};
-pub use timeline::{Event, Timeline};
 pub use tsp_prof::Profiler;
 pub use tsp_telemetry::Telemetry;
 pub use tsp_trace::{Recorder, TraceEvent};

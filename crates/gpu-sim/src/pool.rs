@@ -70,25 +70,16 @@ impl DevicePool {
         Self::new(vec![spec; devices], streams_per_device)
     }
 
-    /// Attach a recorder to every device. Must be called before the pool
-    /// is used (the devices are still exclusively owned here).
-    pub fn attach_recorder(&mut self, recorder: Recorder) {
+    /// Attach the device-side observation sinks to every device (see
+    /// [`Device::attach`]) and, with a telemetry registry, one job
+    /// counter per lane (labeled `device`/`stream`), so a scrape shows
+    /// pool lane utilization. Must be called before the pool is used
+    /// (the devices are still exclusively owned here).
+    pub fn attach(&mut self, recorder: &Recorder, telemetry: &Telemetry, prof: &Profiler) {
         for d in &mut self.devices {
             Arc::get_mut(d)
-                .expect("attach_recorder must be called before the pool is shared")
-                .attach_recorder(recorder.clone());
-        }
-    }
-
-    /// Attach a live-metrics handle to every device and register one
-    /// job counter per lane (labeled `device`/`stream`), so a scrape
-    /// shows pool lane utilization. Must be called before the pool is
-    /// used (the devices are still exclusively owned here).
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        for d in &mut self.devices {
-            Arc::get_mut(d)
-                .expect("attach_telemetry must be called before the pool is shared")
-                .attach_telemetry(telemetry);
+                .expect("attach must be called before the pool is shared")
+                .attach(recorder, telemetry, prof);
         }
         self.telemetry = telemetry.registry().map(|r| {
             let lanes: Vec<(u32, usize)> = (0..self.lanes())
@@ -99,19 +90,6 @@ impl DevicePool {
                 .collect();
             PoolTelemetry::register(r, &lanes)
         });
-    }
-
-    /// Attach a span/memory profiler to every device: transfers and
-    /// launches record leaf spans, and each device's allocations are
-    /// journaled in the ledger under its pool index. Must be called
-    /// before the pool is used (the devices are still exclusively owned
-    /// here).
-    pub fn attach_profiler(&mut self, prof: &Profiler) {
-        for d in &mut self.devices {
-            Arc::get_mut(d)
-                .expect("attach_profiler must be called before the pool is shared")
-                .attach_profiler(prof);
-        }
     }
 
     /// Devices in the pool.
@@ -249,7 +227,7 @@ mod tests {
     fn telemetry_counts_jobs_per_lane() {
         let mut pool = DevicePool::homogeneous(gtx_680_cuda(), 2, 2);
         let telemetry = Telemetry::attached();
-        pool.attach_telemetry(&telemetry);
+        pool.attach(&Recorder::disabled(), &telemetry, &Profiler::detached());
         // 10 jobs over 4 lanes: lanes 0,1 run 3 jobs, lanes 2,3 run 2.
         pool.run(10, |job, _, _| job);
         let reg = telemetry.registry().unwrap();
@@ -264,6 +242,9 @@ mod tests {
         assert_eq!(jobs("0", "1"), Some(2.0));
         assert_eq!(jobs("1", "1"), Some(2.0));
         // Every device got the per-device bundle too.
-        assert!(pool.devices().iter().all(|d| d.telemetry_enabled()));
+        for device in ["0", "1"] {
+            let live = reg.gauge_value_with("tsp_device_mem_live_bytes", &[("device", device)]);
+            assert_eq!(live, Some(0.0), "device {device}");
+        }
     }
 }

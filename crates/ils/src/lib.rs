@@ -16,6 +16,10 @@
 //! the Iterated Local Search algorithm and used the GPU version of 2-opt
 //! to test its performance"), and the recorded convergence trace
 //! regenerates Fig. 11.
+//!
+//! A run reports into the one `tsp_2opt::Observer` carried by
+//! [`IlsOptions::observer`]; multistart stamps each chain's journal and
+//! flight-recorder entries with its chain id ([`tsp_2opt::Observer::for_chain`]).
 
 pub mod accept;
 pub mod multistart;
@@ -27,12 +31,11 @@ pub use perturb::Perturbation;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tsp_2opt::{optimize_profiled, EngineError, SearchOptions, StepProfile, TwoOptEngine};
+use tsp_2opt::{optimize, EngineError, Observer, SearchOptions, StepProfile, TwoOptEngine};
 use tsp_core::{CancelToken, Instance, Tour};
-use tsp_prof::Profiler;
-use tsp_replay::{hash_tour, FlightRecorder, ReplayEvent};
-use tsp_telemetry::{Counter, Gauge, Journal, JournalEvent, JournalRecord, Registry, Telemetry};
-use tsp_trace::{Recorder, TraceEvent};
+use tsp_replay::{hash_tour, ReplayEvent};
+use tsp_telemetry::{Counter, Gauge, JournalEvent, JournalRecord, Registry};
+use tsp_trace::TraceEvent;
 
 /// Termination and behaviour knobs for [`iterated_local_search`].
 ///
@@ -59,29 +62,21 @@ pub struct IlsOptions {
     /// tour after this many iterations without improving the best
     /// (`None` = never restart).
     pub stagnation_restart: Option<u64>,
-    /// Structured-event recorder for descent/sweep/iteration telemetry
-    /// (disabled by default — zero cost when unused). Attach the *same*
-    /// recorder to the engine's device (`GpuTwoOpt::with_recorder`) to
-    /// interleave kernel and transfer events with the ILS events.
-    pub recorder: Recorder,
-    /// Live-metrics handle (disabled by default — zero cost when
-    /// unused). When attached, the run maintains the `tsp_ils_*` metric
-    /// families (iterations, acceptance rate, best length, …) and the
-    /// descents feed the `tsp_search_*` families. Attach the *same*
-    /// handle to the engine's device (`GpuTwoOpt::with_telemetry`) to
-    /// add the `tsp_gpu_*` families.
-    pub telemetry: Telemetry,
-    /// Convergence journal (disabled by default — zero cost when
-    /// unused). When attached, the run appends one [`JournalRecord`] per
-    /// notable event: the initial descent, every iteration
-    /// (improved/accepted/rejected), stagnation restarts, and a final
-    /// summary record.
-    pub journal: Journal,
-    /// Flight recorder (detached by default — zero cost when unused).
-    /// When attached, the run logs every decision a replay needs: the
-    /// start tour digest, every applied 2-opt move, each kick's RNG
-    /// checkpoint and cut points, and each acceptance verdict.
-    pub flight: FlightRecorder,
+    /// Sinks the run reports into (all detached by default — zero cost
+    /// when unused): the recorder gets iteration and perturbation
+    /// events, telemetry the `tsp_ils_*` families (iterations,
+    /// acceptance rate, best length, …), the journal one
+    /// [`JournalRecord`] per notable event (the initial descent, every
+    /// iteration, stagnation restarts, a final summary), the flight
+    /// recorder every decision a replay needs (start digest, applied
+    /// moves, each kick's RNG checkpoint and cut points, each acceptance
+    /// verdict), and the profiler `"ils"` → `"iteration"` →
+    /// `"kick"`/`"sweep"` spans. The descents report into the same
+    /// sinks. Attach the *same* observer to the engine's device
+    /// (`GpuTwoOpt::with_observer`) to interleave its kernel and
+    /// transfer events, `tsp_gpu_*` metrics, device leaves and memory
+    /// ledger with the ILS ones.
+    pub observer: Observer,
     /// Resume the perturbation/acceptance RNG from an explicit
     /// xoshiro256++ state instead of seeding from [`IlsOptions::seed`] —
     /// how a replayer restores a recorded run's stream mid-flight.
@@ -94,13 +89,6 @@ pub struct IlsOptions {
     /// tokens make the run wall-clock dependent, so the record/replay
     /// layer rejects them like `max_host_seconds`.
     pub cancel: CancelToken,
-    /// Span/memory profiler (detached by default — zero cost when
-    /// unused). When attached, the run nests `"ils"` → `"iteration"` →
-    /// `"kick"`/`"sweep"` spans around the descents; attach the *same*
-    /// handle to the engine's device (`GpuTwoOpt::with_profiler`) to
-    /// nest the `h2d`/`kernel:*`/`d2h` leaves and the memory ledger
-    /// under them.
-    pub prof: Profiler,
 }
 
 impl Default for IlsOptions {
@@ -113,12 +101,8 @@ impl Default for IlsOptions {
             perturbation: Perturbation::DoubleBridge,
             acceptance: Acceptance::Better,
             stagnation_restart: None,
-            recorder: Recorder::disabled(),
-            telemetry: Telemetry::detached(),
-            journal: Journal::detached(),
-            flight: FlightRecorder::detached(),
+            observer: Observer::none(),
             rng_state: None,
-            prof: Profiler::detached(),
             cancel: CancelToken::none(),
         }
     }
@@ -172,27 +156,9 @@ impl IlsOptions {
         self
     }
 
-    /// Attach a structured-event recorder.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attach a live-metrics handle.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Attach a convergence journal.
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = journal;
-        self
-    }
-
-    /// Attach a flight recorder.
-    pub fn with_flight(mut self, flight: FlightRecorder) -> Self {
-        self.flight = flight;
+    /// Report the run into `observer`'s sinks.
+    pub fn with_observer(mut self, observer: Observer) -> Self {
+        self.observer = observer;
         self
     }
 
@@ -200,12 +166,6 @@ impl IlsOptions {
     /// `None`, seed it from [`IlsOptions::seed`] — the default).
     pub fn with_rng_state(mut self, state: impl Into<Option<[u64; 4]>>) -> Self {
         self.rng_state = state.into();
-        self
-    }
-
-    /// Attach a span/memory profiler.
-    pub fn with_prof(mut self, prof: Profiler) -> Self {
-        self.prof = prof;
         self
     }
 
@@ -307,7 +267,8 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
     initial: Tour,
     opts: IlsOptions,
 ) -> Result<IlsOutcome, EngineError> {
-    let _ils = opts.prof.span("ils");
+    let obs = &opts.observer;
+    let _ils = obs.prof.span("ils");
     let wall = std::time::Instant::now();
     let mut rng = match opts.rng_state {
         Some(state) => SmallRng::from_state(state),
@@ -315,29 +276,35 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
     };
     let mut profile = StepProfile::default();
     let mut trace = Vec::new();
-    let metrics = opts.telemetry.registry().map(|r| IlsMetrics::register(r));
+    let metrics = obs.telemetry.registry().map(|r| IlsMetrics::register(r));
+    let search = SearchOptions::new().with_observer(obs.clone());
+    // One journal record; the handle stamps the chain, run and trace ids.
+    let journal = |event, iteration, modeled_seconds, tour_length, gap_to_best| {
+        obs.journal.record_with(|| JournalRecord {
+            run_id: String::new(),
+            trace_id: String::new(),
+            chain: 0,
+            iteration,
+            modeled_seconds,
+            wall_seconds: wall.elapsed().as_secs_f64(),
+            tour_length,
+            gap_to_best,
+            event,
+        })
+    };
 
     // s* <- 2optLocalSearch(s0)
     let mut best = initial;
-    opts.flight.record_with(|| ReplayEvent::Start {
+    obs.flight.record_with(|| ReplayEvent::Start {
         tour_hash: hash_tour(&best),
     });
     let stats = {
-        let _initial = opts.prof.span("initial_descent");
-        optimize_profiled(
-            engine,
-            inst,
-            &mut best,
-            SearchOptions::default(),
-            &opts.recorder,
-            &opts.telemetry,
-            &opts.flight,
-            &opts.prof,
-        )?
+        let _initial = obs.prof.span("initial_descent");
+        optimize(engine, inst, &mut best, search.clone())?
     };
     profile.accumulate(&stats.profile);
     let mut best_length = stats.final_length;
-    opts.flight.record_with(|| ReplayEvent::DescentEnd {
+    obs.flight.record_with(|| ReplayEvent::DescentEnd {
         iteration: 0,
         sweeps: stats.sweeps,
         length: best_length,
@@ -354,17 +321,8 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
         m.best_length.set(best_length as f64);
         m.time_to_best.set(profile.modeled_seconds());
     }
-    opts.journal.record_with(|| JournalRecord {
-        run_id: String::new(),
-        trace_id: String::new(),
-        chain: 0,
-        iteration: 0,
-        modeled_seconds: profile.modeled_seconds(),
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        tour_length: best_length,
-        gap_to_best: 0.0,
-        event: JournalEvent::Initial,
-    });
+    let modeled = profile.modeled_seconds();
+    journal(JournalEvent::Initial, 0, modeled, best_length, 0.0);
 
     let mut iterations = 0u64;
     let mut accepted = 0u64;
@@ -395,8 +353,8 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
             break;
         }
         iterations += 1;
-        let _iteration = opts.prof.span("iteration");
-        opts.recorder.record(TraceEvent::IterationBegin {
+        let _iteration = obs.prof.span("iteration");
+        obs.recorder.record(TraceEvent::IterationBegin {
             iteration: iterations,
         });
 
@@ -404,31 +362,22 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
         let mut candidate = incumbent.clone();
         let rng_before_kick = rng.state();
         let kicks = {
-            let _kick = opts.prof.span("kick");
+            let _kick = obs.prof.span("kick");
             opts.perturbation.apply(&mut candidate, &mut rng)
         };
-        opts.flight.record_with(move || ReplayEvent::Kick {
+        obs.flight.record_with(move || ReplayEvent::Kick {
             iteration: iterations,
             rng: rng_before_kick,
             kicks,
         });
-        opts.recorder.record_with(|| TraceEvent::Perturbation {
+        obs.recorder.record_with(|| TraceEvent::Perturbation {
             kind: format!("{:?}", opts.perturbation),
         });
         // s*' <- 2optLocalSearch(s')
-        let stats = optimize_profiled(
-            engine,
-            inst,
-            &mut candidate,
-            SearchOptions::default(),
-            &opts.recorder,
-            &opts.telemetry,
-            &opts.flight,
-            &opts.prof,
-        )?;
+        let stats = optimize(engine, inst, &mut candidate, search.clone())?;
         profile.accumulate(&stats.profile);
         let candidate_length = stats.final_length;
-        opts.flight.record_with(|| ReplayEvent::DescentEnd {
+        obs.flight.record_with(|| ReplayEvent::DescentEnd {
             iteration: iterations,
             sweeps: stats.sweeps,
             length: candidate_length,
@@ -446,7 +395,7 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
             incumbent_length = candidate_length;
             accepted += 1;
         }
-        opts.flight.record_with(|| ReplayEvent::Acceptance {
+        obs.flight.record_with(|| ReplayEvent::Acceptance {
             iteration: iterations,
             incumbent_length: pre_incumbent_length,
             candidate_length,
@@ -454,7 +403,7 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
             rng: rng.state(),
             tour_hash: hash_tour(&incumbent),
         });
-        opts.recorder.record_with(|| TraceEvent::IterationEnd {
+        obs.recorder.record_with(|| TraceEvent::IterationEnd {
             iteration: iterations,
             candidate_length,
             accepted: took,
@@ -479,24 +428,15 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
                     incumbent_length = best_length;
                     restarts += 1;
                     since_improvement = 0;
-                    opts.flight.record_with(|| ReplayEvent::Restart {
+                    obs.flight.record_with(|| ReplayEvent::Restart {
                         iteration: iterations,
                         tour_hash: hash_tour(&incumbent),
                     });
                     if let Some(m) = &metrics {
                         m.restarts.inc();
                     }
-                    opts.journal.record_with(|| JournalRecord {
-                        run_id: String::new(),
-                        trace_id: String::new(),
-                        chain: 0,
-                        iteration: iterations,
-                        modeled_seconds: profile.modeled_seconds(),
-                        wall_seconds: wall.elapsed().as_secs_f64(),
-                        tour_length: best_length,
-                        gap_to_best: 0.0,
-                        event: JournalEvent::Restart,
-                    });
+                    let modeled = profile.modeled_seconds();
+                    journal(JournalEvent::Restart, iterations, modeled, best_length, 0.0);
                 }
             }
         }
@@ -514,37 +454,21 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
             m.efficacy
                 .set(trace.len().saturating_sub(1) as f64 / iterations as f64);
         }
-        opts.journal.record_with(|| JournalRecord {
-            run_id: String::new(),
-            trace_id: String::new(),
-            chain: 0,
-            iteration: iterations,
-            modeled_seconds: profile.modeled_seconds(),
-            wall_seconds: wall.elapsed().as_secs_f64(),
-            tour_length: candidate_length,
-            gap_to_best: (candidate_length - best_length) as f64 / best_length as f64,
-            event: if improved {
-                JournalEvent::Improved
-            } else if took {
-                JournalEvent::Accepted
-            } else {
-                JournalEvent::Rejected
-            },
-        });
+        let event = if improved {
+            JournalEvent::Improved
+        } else if took {
+            JournalEvent::Accepted
+        } else {
+            JournalEvent::Rejected
+        };
+        let gap = (candidate_length - best_length) as f64 / best_length as f64;
+        let modeled = profile.modeled_seconds();
+        journal(event, iterations, modeled, candidate_length, gap);
     }
 
-    opts.journal.record_with(|| JournalRecord {
-        run_id: String::new(),
-        trace_id: String::new(),
-        chain: 0,
-        iteration: iterations,
-        modeled_seconds: profile.modeled_seconds(),
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        tour_length: best_length,
-        gap_to_best: 0.0,
-        event: JournalEvent::Final,
-    });
-    opts.flight.record_with(|| ReplayEvent::Final {
+    let modeled = profile.modeled_seconds();
+    journal(JournalEvent::Final, iterations, modeled, best_length, 0.0);
+    obs.flight.record_with(|| ReplayEvent::Final {
         iterations,
         best_length,
         tour_hash: hash_tour(&best),
@@ -566,7 +490,9 @@ pub fn iterated_local_search<E: TwoOptEngine + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsp_2opt::{optimize, SequentialTwoOpt};
+    use tsp_2opt::SequentialTwoOpt;
+    use tsp_telemetry::{Journal, Telemetry};
+    use tsp_trace::Recorder;
     use tsp_tsplib::{generate, Style};
 
     #[test]
@@ -654,7 +580,7 @@ mod tests {
             start,
             IlsOptions {
                 max_iterations: Some(5),
-                recorder: rec.clone(),
+                observer: Observer::none().with_recorder(rec.clone()),
                 ..Default::default()
             },
         )
@@ -705,7 +631,7 @@ mod tests {
             &inst,
             start,
             IlsOptions {
-                recorder: Recorder::enabled(),
+                observer: Observer::none().with_recorder(Recorder::enabled()),
                 ..opts
             },
         )
@@ -732,8 +658,9 @@ mod tests {
             start,
             IlsOptions {
                 max_iterations: Some(12),
-                telemetry: telemetry.clone(),
-                journal: journal.clone(),
+                observer: Observer::none()
+                    .with_telemetry(telemetry.clone())
+                    .with_journal(journal.clone()),
                 ..Default::default()
             },
         )
@@ -799,8 +726,9 @@ mod tests {
             &inst,
             start,
             IlsOptions {
-                telemetry: Telemetry::attached(),
-                journal: Journal::attached(),
+                observer: Observer::none()
+                    .with_telemetry(Telemetry::attached())
+                    .with_journal(Journal::attached()),
                 ..opts
             },
         )

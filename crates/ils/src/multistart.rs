@@ -11,6 +11,27 @@ use std::sync::Arc;
 use tsp_2opt::{EngineError, TwoOptEngine};
 use tsp_core::{Instance, Tour};
 
+/// Run chain `chain` of a multistart: ILS seeded `opts.seed + chain`,
+/// its journal and flight entries stamped with the chain id, inside a
+/// `"chain"` span. The profiler's span stack is thread-local, so each
+/// chain's `"chain"` → `"ils"` subtree stays well-nested on its own
+/// worker thread.
+fn run_chain<E: TwoOptEngine>(
+    engine: &mut E,
+    inst: &Instance,
+    start: Tour,
+    opts: &IlsOptions,
+    chain: usize,
+) -> Result<IlsOutcome, EngineError> {
+    let chain_opts = IlsOptions {
+        seed: opts.seed.wrapping_add(chain as u64),
+        observer: opts.observer.for_chain(chain as u64),
+        ..opts.clone()
+    };
+    let _chain = chain_opts.observer.prof.span("chain");
+    iterated_local_search(engine, inst, start, chain_opts)
+}
+
 /// Run one ILS chain per starting tour, in parallel on host threads
 /// (each chain gets its own engine from `factory` and a distinct RNG
 /// seed `opts.seed + chain index`). Returns the best outcome and the
@@ -33,20 +54,7 @@ where
             .enumerate()
             .map(|(i, start)| {
                 let factory = &factory;
-                scope.spawn(move || {
-                    let mut engine = factory();
-                    let chain_opts = IlsOptions {
-                        seed: opts.seed.wrapping_add(i as u64),
-                        journal: opts.journal.for_chain(i as u64),
-                        flight: opts.flight.for_chain(i as u64),
-                        ..opts.clone()
-                    };
-                    // The profiler's span stack is thread-local, so each
-                    // chain's "chain" → "ils" subtree stays well-nested
-                    // on its own worker thread.
-                    let _chain = chain_opts.prof.span("chain");
-                    iterated_local_search(&mut engine, inst, start, chain_opts)
-                })
+                scope.spawn(move || run_chain(&mut factory(), inst, start, opts, i))
             })
             .collect();
         handles
@@ -81,9 +89,9 @@ pub struct ShardedOutcome {
 }
 
 impl ShardedOutcome {
-    /// Modeled wall time of the run: the slowest device's makespan
-    /// (devices run concurrently).
-    pub fn wall_seconds(&self) -> f64 {
+    /// Modeled makespan of the run: the slowest device's modeled wall
+    /// time (devices run concurrently).
+    pub fn modeled_makespan_seconds(&self) -> f64 {
         self.reports
             .iter()
             .map(|r| r.wall_seconds)
@@ -95,9 +103,9 @@ impl ShardedOutcome {
         self.reports.iter().map(|r| r.busy_seconds).sum()
     }
 
-    /// Modeled chain throughput, chains per second of wall time.
+    /// Modeled chain throughput, chains per second of modeled makespan.
     pub fn throughput(&self) -> f64 {
-        self.chains.len() as f64 / self.wall_seconds()
+        self.chains.len() as f64 / self.modeled_makespan_seconds()
     }
 
     /// Fraction of per-device busy time hidden by overlap, averaged
@@ -126,7 +134,7 @@ impl ShardedOutcome {
 /// `opts.seed + i` — the same contract as [`parallel_multistart`] — so
 /// for any pool shape the per-chain outcomes and the reduced best tour
 /// are **bit-identical** to the host-threaded version; only the modeled
-/// schedule (and thus [`ShardedOutcome::wall_seconds`]) changes with
+/// schedule (and thus [`ShardedOutcome::modeled_makespan_seconds`]) changes with
 /// the device and stream counts.
 pub struct ShardedMultistart {
     pool: DevicePool,
@@ -172,16 +180,13 @@ impl ShardedMultistart {
         let opts = &opts;
         let results: Vec<Result<IlsOutcome, EngineError>> =
             self.pool.run(starts.len(), |i, device, stream| {
-                let mut engine = factory(device, stream);
-                let chain_opts = IlsOptions {
-                    seed: opts.seed.wrapping_add(i as u64),
-                    journal: opts.journal.for_chain(i as u64),
-                    flight: opts.flight.for_chain(i as u64),
-                    ..opts.clone()
-                };
-                // Thread-local span stack: see `parallel_multistart`.
-                let _chain = chain_opts.prof.span("chain");
-                iterated_local_search(&mut engine, inst, starts[i].clone(), chain_opts)
+                run_chain(
+                    &mut factory(device, stream),
+                    inst,
+                    starts[i].clone(),
+                    opts,
+                    i,
+                )
             });
 
         let reports = self.pool.synchronize();
@@ -296,8 +301,8 @@ mod tests {
         assert_eq!(out.best.best_length, best.best_length);
         assert_eq!(out.best.best.as_slice(), best.best.as_slice());
         assert_eq!(out.reports.len(), 2);
-        assert!(out.wall_seconds() > 0.0);
-        assert!(out.busy_seconds() >= out.wall_seconds());
+        assert!(out.modeled_makespan_seconds() > 0.0);
+        assert!(out.busy_seconds() >= out.modeled_makespan_seconds());
         assert!(out.throughput() > 0.0);
     }
 
@@ -309,7 +314,7 @@ mod tests {
         let journal = tsp_telemetry::Journal::attached();
         let opts = IlsOptions {
             max_iterations: Some(4),
-            journal: journal.clone(),
+            observer: tsp_2opt::Observer::none().with_journal(journal.clone()),
             ..Default::default()
         };
         let (_, all) = parallel_multistart(SequentialTwoOpt::new, &inst, starts, opts).unwrap();
@@ -351,7 +356,10 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.wall_seconds().to_bits(), b.wall_seconds().to_bits());
+        assert_eq!(
+            a.modeled_makespan_seconds().to_bits(),
+            b.modeled_makespan_seconds().to_bits()
+        );
         assert_eq!(a.busy_seconds().to_bits(), b.busy_seconds().to_bits());
         for (ra, rb) in a.reports.iter().zip(&b.reports) {
             assert_eq!(ra.ops.len(), rb.ops.len());

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use tsp_prof::Profiler;
 use tsp_telemetry::{Gauge, Telemetry};
+use tsp_trace::Recorder;
 
 /// A Mutex'd free-index allocator with a lease bitmap and blocking
 /// acquisition. Indices are dense `0..capacity`.
@@ -141,8 +142,7 @@ impl SlotPool {
         prof: &Profiler,
     ) -> Result<SlotPool, SimError> {
         let mut pool = DevicePool::homogeneous(spec, devices, streams);
-        pool.attach_telemetry(telemetry);
-        pool.attach_profiler(prof);
+        pool.attach(&Recorder::disabled(), telemetry, prof);
         for device in pool.devices() {
             device.install_arena(streams as u64 * slot_bytes)?;
         }

@@ -37,7 +37,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tsp::{Solution, SolverBuilder, TelemetryOptions};
+use tsp::twoopt::Observer;
+use tsp::{Solution, SolverBuilder};
 use tsp_core::CancelToken;
 use tsp_prof::{Manifest, Profiler};
 use tsp_telemetry::{
@@ -1233,15 +1234,7 @@ fn run_ticket(inner: &Inner, lane: usize, ticket: &Ticket) {
     // Deadline/cancel re-check BEFORE leasing a slot: an expired job
     // must never reach a device lane.
     if token.is_cancelled() {
-        finish_job(
-            inner,
-            ticket,
-            expired_or_cancelled(&base_token),
-            None,
-            None,
-            None,
-            None,
-        );
+        finish_job(inner, ticket, expired_or_cancelled(&base_token), None, None);
         return;
     }
 
@@ -1257,18 +1250,21 @@ fn run_ticket(inner: &Inner, lane: usize, ticket: &Ticket) {
     }
     inner.beat(lane);
     set_state(inner, &ticket.job_id, JobState::Running);
-    let mut journal = Journal::attached();
-    if !trace_id.is_empty() {
-        journal = journal.with_trace_id(&trace_id);
-    }
-    let job_prof = Profiler::attached();
-    // A per-job event recorder feeds the trace-tagged `trace.json`
-    // artifact; it only records when spans will actually be persisted.
+    // The job's sinks: the service registry, a fresh trace-stamped
+    // journal and profiler for the artifacts, and an event recorder
+    // feeding the trace-tagged `trace.json` artifact, which only records
+    // when spans will actually be persisted.
     let recorder = if inner.request_spans && inner.artifacts_dir.is_some() {
         Recorder::enabled()
     } else {
         Recorder::disabled()
     };
+    let observer = Observer::none()
+        .with_recorder(recorder)
+        .with_telemetry(inner.telemetry.clone())
+        .with_journal(Journal::attached())
+        .with_prof(Profiler::attached())
+        .with_trace_id(trace_id);
     stamp_stage(inner, &ticket.job_id, Stage::Solving);
     inner.beat(lane);
     // Fault injection: hold the lane without heartbeating so the
@@ -1280,9 +1276,7 @@ fn run_ticket(inner: &Inner, lane: usize, ticket: &Ticket) {
         }
     }
     let started = Instant::now();
-    let outcome = solve(
-        inner, &request, &journal, &job_prof, &recorder, &token, &lease,
-    );
+    let outcome = solve(&request, &observer, &token, &lease);
     if let Some(latency) = &inner.latency {
         latency.observe(started.elapsed().as_secs_f64());
     }
@@ -1296,15 +1290,7 @@ fn run_ticket(inner: &Inner, lane: usize, ticket: &Ticket) {
             } else {
                 (JobState::Done, None)
             };
-            finish_job(
-                inner,
-                ticket,
-                state,
-                Some(&solution),
-                Some(&journal),
-                Some(&job_prof),
-                Some(&recorder),
-            );
+            finish_job(inner, ticket, state, Some(&solution), Some(&observer));
         }
         Err(err) => {
             finish_job(
@@ -1312,9 +1298,7 @@ fn run_ticket(inner: &Inner, lane: usize, ticket: &Ticket) {
                 ticket,
                 (JobState::Failed, Some(err)),
                 None,
-                Some(&journal),
-                Some(&job_prof),
-                Some(&recorder),
+                Some(&observer),
             );
         }
     }
@@ -1331,23 +1315,14 @@ fn stamp_stage(inner: &Inner, job_id: &str, stage: Stage) {
 }
 
 fn solve(
-    inner: &Inner,
     request: &SolveRequest,
-    journal: &Journal,
-    job_prof: &Profiler,
-    recorder: &Recorder,
+    observer: &Observer,
     token: &CancelToken,
     lease: &crate::pool::SlotLease<'_>,
 ) -> Result<Solution, ApiError> {
     let inst = request.instance()?;
     let solver = SolverBuilder::from_request(request)?
-        .telemetry(
-            TelemetryOptions::new()
-                .with_registry(inner.telemetry.clone())
-                .with_journal(journal.clone()),
-        )
-        .profiler(job_prof.clone())
-        .recorder(recorder.clone())
+        .observe(observer.clone())
         .cancel(token.clone())
         .build();
     solver
@@ -1382,13 +1357,11 @@ fn finish_job(
     ticket: &Ticket,
     (state, error): (JobState, Option<ApiError>),
     solution: Option<&Solution>,
-    journal: Option<&Journal>,
-    job_prof: Option<&Profiler>,
-    recorder: Option<&Recorder>,
+    observer: Option<&Observer>,
 ) {
     let run_id = solution.map(|s| s.run_id.clone());
     let modeled = solution.map(|s| s.modeled_seconds()).unwrap_or(0.0);
-    let writing = inner.artifacts_dir.is_some() && journal.is_some() && job_prof.is_some();
+    let writing = inner.artifacts_dir.is_some() && observer.is_some();
     let trace_id = {
         let mut jobs = inner.jobs.lock().unwrap();
         let mut trace_id = String::new();
@@ -1411,16 +1384,14 @@ fn finish_job(
         }
         trace_id
     };
-    if let (Some(dir), Some(journal), Some(job_prof)) = (&inner.artifacts_dir, journal, job_prof) {
+    if let (Some(dir), Some(observer)) = (&inner.artifacts_dir, observer) {
         write_artifacts(
             inner,
             dir,
             &ticket.job_id,
             run_id.as_deref(),
             &trace_id,
-            journal,
-            job_prof,
-            recorder,
+            observer,
         );
     }
     // Terminal span stamp, then persist the completed span before the
@@ -1466,25 +1437,22 @@ fn finish_job(
 /// Leave a `tsp-inspect`-compatible artifact set for the job. Uses
 /// the flush-on-drop [`JournalWriter`] so even an interrupted process
 /// never leaves a truncated JSONL line behind.
-#[allow(clippy::too_many_arguments)]
 fn write_artifacts(
     inner: &Inner,
     dir: &std::path::Path,
     job_id: &str,
     run_id: Option<&str>,
     trace_id: &str,
-    journal: &Journal,
-    job_prof: &Profiler,
-    recorder: Option<&Recorder>,
+    observer: &Observer,
 ) {
     let job_dir = dir.join(job_id);
     if std::fs::create_dir_all(&job_dir).is_err() {
         return;
     }
     if let Ok(mut writer) = JournalWriter::create(job_dir.join("journal.jsonl")) {
-        let _ = writer.append_all(journal);
+        let _ = writer.append_all(&observer.journal);
     }
-    let report = job_prof.report();
+    let report = observer.prof.report();
     let folded = match report.flamegraph() {
         f if f.is_empty() => report.flamegraph_wall(),
         f => f,
@@ -1501,12 +1469,13 @@ fn write_artifacts(
         .push("memory", "memory.json");
     if inner.request_spans {
         // The trace-tagged Chrome trace of the solve's recorded events.
-        if let Some(recorder) = recorder {
-            let trace =
-                chrome_trace_with_ids(&recorder.events(), run_id.unwrap_or(job_id), trace_id);
-            if std::fs::write(job_dir.join("trace.json"), trace).is_ok() {
-                manifest.push("trace", "trace.json");
-            }
+        let trace = chrome_trace_with_ids(
+            &observer.recorder.events(),
+            run_id.unwrap_or(job_id),
+            trace_id,
+        );
+        if std::fs::write(job_dir.join("trace.json"), trace).is_ok() {
+            manifest.push("trace", "trace.json");
         }
         // request.json is written by `finish_job` right after the
         // terminal stamp; index it here so the manifest is complete.

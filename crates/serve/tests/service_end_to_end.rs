@@ -229,6 +229,36 @@ fn rejections_are_typed_and_never_touch_a_device_lane() {
 }
 
 #[test]
+fn non_finite_coordinates_get_a_400_and_mint_no_job() {
+    let server = start_server(ServiceConfig::default().with_devices(1).with_streams(1));
+    let service = server.service().clone();
+    // 1e39 is a valid JSON number and a finite f64, but infinite as
+    // the f32 a city stores, in both payload kinds.
+    let coords = SolveRequest::coords(
+        "overflow",
+        vec![(0.0, 0.0), (1.0, 0.0), (1e39, 1.0), (0.0, 1.0)],
+    );
+    let tsplib = SolveRequest::tsplib(
+        "NAME: overflow\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\n\
+         NODE_COORD_SECTION\n1 0 0\n2 1 0\n3 1e39 1\n4 0 1\nEOF\n",
+    );
+    for req in [coords, tsplib] {
+        let (status, body) = post_solve(&server, &req);
+        assert_eq!(status, 400, "{body}");
+        let err = tsp_serve::ApiError::from_json(&tsp_trace::json::parse(&body).unwrap()).unwrap();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(
+            err.message.contains("city 2 has a non-finite coordinate"),
+            "{}",
+            err.message
+        );
+    }
+    assert!(service.ops_snapshot().jobs.is_empty(), "a job was minted");
+    let (_svc, _) = server.shutdown();
+    assert_eq!(service.queue_depth(), 0);
+}
+
+#[test]
 fn ledger_shows_only_the_arena_allocations_and_balances() {
     let telemetry = Telemetry::attached();
     let prof = Profiler::attached();

@@ -25,6 +25,12 @@ pub enum CoreError {
     InvalidMatrix(String),
     /// The metric requires coordinates but the instance has none.
     MissingCoordinates,
+    /// A city's coordinate is infinite or NaN (e.g. a value past the
+    /// `f32` range); `city` is the first such city.
+    NonFiniteCoordinate {
+        /// Index of the first offending city.
+        city: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -47,6 +53,9 @@ impl fmt::Display for CoreError {
                     "metric requires node coordinates but the instance has none"
                 )
             }
+            CoreError::NonFiniteCoordinate { city } => {
+                write!(f, "city {city} has a non-finite coordinate")
+            }
         }
     }
 }
@@ -67,5 +76,7 @@ mod tests {
         let e = CoreError::CityOutOfRange { index: 9, n: 5 };
         assert!(e.to_string().contains("9"));
         assert!(e.to_string().contains("5"));
+        let e = CoreError::NonFiniteCoordinate { city: 7 };
+        assert_eq!(e.to_string(), "city 7 has a non-finite coordinate");
     }
 }

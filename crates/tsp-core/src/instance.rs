@@ -40,6 +40,12 @@ impl Instance {
                 min: 3,
             });
         }
+        if let Some(city) = points
+            .iter()
+            .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+        {
+            return Err(CoreError::NonFiniteCoordinate { city });
+        }
         Ok(Instance {
             name: name.into(),
             comment: String::new(),
@@ -190,6 +196,18 @@ mod tests {
     fn rejects_tiny_instances() {
         let err = Instance::new("p", Metric::Euc2d, vec![Point::new(0.0, 0.0)]).unwrap_err();
         assert!(matches!(err, CoreError::InstanceTooSmall { .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates_naming_the_first_bad_city() {
+        let mut pts = vec![Point::new(0.0, 0.0); 5];
+        pts[3] = Point::new(1.0, f32::NAN);
+        pts[4] = Point::new(f32::INFINITY, 0.0);
+        let err = Instance::new("p", Metric::Euc2d, pts.clone()).unwrap_err();
+        assert_eq!(err, CoreError::NonFiniteCoordinate { city: 3 });
+        pts[3] = Point::new(1.0, 1.0);
+        let err = Instance::new("p", Metric::Euc2d, pts).unwrap_err();
+        assert_eq!(err, CoreError::NonFiniteCoordinate { city: 4 });
     }
 
     #[test]

@@ -115,10 +115,10 @@ pub struct KnnGrid<'a> {
 }
 
 impl<'a> KnnGrid<'a> {
-    /// Bucket the cities (O(n)). `None` unless the instance has finite
-    /// coordinates under a metric that is never below the coordinate gap
-    /// minus ½ (`EUC_2D`, `CEIL_2D`, `MAN_2D`, `MAX_2D`), which is what
-    /// the query's stop rule needs.
+    /// Bucket the cities (O(n)). `None` unless the coordinates span a
+    /// finite extent under a metric that is never below the coordinate
+    /// gap minus ½ (`EUC_2D`, `CEIL_2D`, `MAN_2D`, `MAX_2D`), which is
+    /// what the query's stop rule needs.
     pub fn new(inst: &'a Instance) -> Option<Self> {
         use Metric::*;
         if !matches!(inst.metric(), Euc2d | Ceil2d | Man2d | Max2d) {
@@ -343,8 +343,10 @@ mod tests {
             let inst = Instance::new("scaled", metric, pts.clone()).unwrap();
             assert!(KnnGrid::new(&inst).is_none());
         }
+        // Finite coordinates whose extent overflows `f32`.
         let mut far = pts.clone();
-        far[3] = Point::new(f32::INFINITY, 0.0);
+        far[3] = Point::new(f32::MAX, 0.0);
+        far[4] = Point::new(-f32::MAX, 0.0);
         let inst = Instance::new("far", Metric::Euc2d, far).unwrap();
         assert!(KnnGrid::new(&inst).is_none());
         let m = ExplicitMatrix::from_upper_row(4, &[1, 2, 3, 4, 5, 6]).unwrap();

@@ -3,7 +3,9 @@
 //! The facade crate: one import, one builder, one error type over the
 //! whole stack — instance loading ([`tsplib`]), construction
 //! heuristics, the simulated-GPU 2-opt engines ([`twoopt`]), ILS and
-//! sharded multistart ([`ils`]), and structured tracing ([`trace`]).
+//! sharded multistart ([`ils`]), and the observation sinks (tracing,
+//! telemetry, flight recording, profiling), all attached through one
+//! [`twoopt::Observer`] handle ([`SolverBuilder::observe`]).
 //!
 //! ```
 //! use tsp::prelude::*;
@@ -26,7 +28,7 @@ pub mod replay;
 pub mod solver;
 
 pub use error::TspError;
-pub use solver::{Construction, EngineKind, Solution, Solver, SolverBuilder, TelemetryOptions};
+pub use solver::{Construction, EngineKind, Solution, Solver, SolverBuilder};
 
 /// Every kernel strategy, in one place, so the differential suites
 /// iterate a single list and a freshly added strategy cannot be
@@ -64,11 +66,9 @@ pub use tsp_tsplib as tsplib;
 pub mod prelude {
     pub use crate::all_strategies;
     pub use crate::error::TspError;
-    pub use crate::solver::{
-        Construction, EngineKind, Solution, Solver, SolverBuilder, TelemetryOptions,
-    };
+    pub use crate::solver::{Construction, EngineKind, Solution, Solver, SolverBuilder};
     pub use gpu_sim::{spec, DevicePool, DeviceSpec, StreamId, StreamReport};
-    pub use tsp_2opt::{SearchOptions, Strategy, TwoOptEngine};
+    pub use tsp_2opt::{Observer, SearchOptions, Strategy, TwoOptEngine};
     pub use tsp_core::{Instance, Metric, Point, Tour};
     pub use tsp_ils::{Acceptance, IlsOptions, Perturbation, ShardedMultistart, ShardedOutcome};
     pub use tsp_prof::{Manifest, MemoryReport, ProfileReport, Profiler};

@@ -1,14 +1,14 @@
 //! Record → replay through the [`Solver`] facade.
 //!
-//! A solver built with [`SolverBuilder::record`] logs every decision of
-//! the run into a [`FlightRecorder`]; [`Solver::recording`] packages
+//! A solver observed with a [`FlightRecorder`] ([`SolverBuilder::observe`])
+//! logs every decision of the run into it; [`Solver::recording`] packages
 //! the log with a header (instance digest, device-spec digest, full
 //! solver configuration, chain 0's start tour) into a portable
 //! [`Recording`]; [`Solver::replay`] re-executes a recording on an
 //! identically-configured solver and bisects the event streams to the
 //! first divergent event — clean when the run reproduced bit-for-bit.
 //!
-//! [`SolverBuilder::record`]: crate::SolverBuilder::record
+//! [`SolverBuilder::observe`]: crate::SolverBuilder::observe
 
 use crate::solver::{EngineKind, Solution, Solver, SolverBuilder};
 use crate::TspError;
@@ -134,19 +134,22 @@ impl Solver {
 
     /// Package the attached flight recorder's log into a portable
     /// [`Recording`] for `inst` — call after [`Solver::run`]. Errors
-    /// when no recorder was attached ([`SolverBuilder::record`]), when
-    /// nothing was recorded, or when the configuration is wall-clock
-    /// dependent.
+    /// when the observer carries no flight recorder
+    /// ([`SolverBuilder::observe`]), when nothing was recorded, or when
+    /// the configuration is wall-clock dependent.
     ///
-    /// [`SolverBuilder::record`]: crate::SolverBuilder::record
+    /// [`SolverBuilder::observe`]: crate::SolverBuilder::observe
     pub fn recording(&self, inst: &Instance) -> Result<Recording, TspError> {
         reject_wall_clock(&self.cfg)?;
-        if !self.cfg.flight.is_enabled() {
+        let flight = &self.cfg.observer.flight;
+        if !flight.is_enabled() {
             return Err(TspError::Replay(
-                "no flight recorder attached; build the solver with .record(FlightRecorder::attached())".into(),
+                "no flight recorder attached; build the solver with \
+                 .observe(Observer::none().with_flight(FlightRecorder::attached()))"
+                    .into(),
             ));
         }
-        if self.cfg.flight.is_empty() {
+        if flight.is_empty() {
             return Err(TspError::Replay(
                 "the flight recorder is empty; run the solver before packaging a recording".into(),
             ));
@@ -155,7 +158,7 @@ impl Solver {
             run_id: self.run_id(inst),
             // The serving layer stamps the distributed trace id onto
             // the journal handle; the recording inherits it from there.
-            trace_id: self.cfg.telemetry.journal().trace_id().to_string(),
+            trace_id: self.cfg.observer.journal.trace_id().to_string(),
             instance_name: inst.name().to_string(),
             n: inst.len(),
             instance_digest: digest_instance(inst),
@@ -164,7 +167,7 @@ impl Solver {
             start: self.construct(inst, 0).as_slice().to_vec(),
             config: self.config_pairs(),
         };
-        Ok(Recording::from_flight(header, &self.cfg.flight))
+        Ok(Recording::from_flight(header, flight))
     }
 
     /// The configured device spec's digest — zero for host engines,
@@ -240,12 +243,9 @@ impl Solver {
         }
 
         let live = FlightRecorder::attached();
-        let solver = Solver {
-            cfg: SolverBuilder {
-                flight: live.clone(),
-                ..self.cfg.clone()
-            },
-        };
+        let mut cfg = self.cfg.clone();
+        cfg.observer.flight = live.clone();
+        let solver = Solver { cfg };
         let start = Tour::new(header.start.clone()).map_err(TspError::Core)?;
         let solution = solver.run_from(inst, start)?;
         let report = compare_streams(&recording.entries, &live.entries());
@@ -257,6 +257,7 @@ impl Solver {
 mod tests {
     use super::*;
     use crate::solver::Construction;
+    use tsp_2opt::Observer;
     use tsp_ils::IlsOptions;
     use tsp_tsplib::{generate, Style};
 
@@ -264,7 +265,7 @@ mod tests {
         Solver::builder()
             .construction(Construction::Random(3))
             .ils(IlsOptions::default().with_max_iterations(5u64).with_seed(7))
-            .record(flight)
+            .observe(Observer::none().with_flight(flight))
             .build()
     }
 
@@ -318,7 +319,7 @@ mod tests {
         let inst = generate("rr-wall", 32, Style::Uniform, 6);
         let solver = Solver::builder()
             .ils(IlsOptions::default().with_max_host_seconds(1.0))
-            .record(FlightRecorder::attached())
+            .observe(Observer::none().with_flight(FlightRecorder::attached()))
             .build();
         solver.run(&inst).unwrap();
         let err = solver.recording(&inst).unwrap_err();
@@ -330,7 +331,9 @@ mod tests {
         let inst = generate("rr-empty", 32, Style::Uniform, 7);
         let solver = Solver::builder().build();
         assert!(matches!(solver.recording(&inst), Err(TspError::Replay(_))));
-        let solver = Solver::builder().record(FlightRecorder::attached()).build();
+        let solver = Solver::builder()
+            .observe(Observer::none().with_flight(FlightRecorder::attached()))
+            .build();
         let err = solver.recording(&inst).unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
     }

@@ -8,87 +8,19 @@
 
 use crate::TspError;
 use gpu_sim::{Device, StreamId};
-use gpu_sim::{DevicePool, DeviceSpec, Recorder, StreamReport, Timeline};
+use gpu_sim::{DevicePool, DeviceSpec, StreamReport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use tsp_2opt::{
-    optimize_profiled, CpuParallelTwoOpt, GpuTwoOpt, SearchOptions, SequentialTwoOpt, StepProfile,
+    optimize, CpuParallelTwoOpt, GpuTwoOpt, Observer, SearchOptions, SequentialTwoOpt, StepProfile,
     Strategy, TwoOptEngine,
 };
 use tsp_construction::{multiple_fragment, nearest_neighbor, space_filling};
 use tsp_core::{CancelToken, Instance, Tour};
-use tsp_ils::{
-    iterated_local_search, IlsOptions, IlsOutcome, ShardedMultistart, ShardedOutcome, TracePoint,
-};
-use tsp_prof::{MemoryReport, Profiler};
-use tsp_replay::{hash_tour, FlightRecorder, ReplayEvent};
-use tsp_telemetry::{Journal, Telemetry};
-
-/// Live-observability knobs for [`SolverBuilder::telemetry`]: a
-/// metrics-registry handle and a convergence journal. Both are
-/// disabled by default and cost a single branch per observation site
-/// when left detached.
-///
-/// ```
-/// use tsp::prelude::*;
-///
-/// let inst = tsp::tsplib::generate("obs", 48, tsp::tsplib::Style::Uniform, 1);
-/// let solution = Solver::builder()
-///     .ils(IlsOptions::default().with_max_iterations(3u64))
-///     .telemetry(TelemetryOptions::attached())
-///     .build()
-///     .run(&inst)
-///     .unwrap();
-/// // The handles come back on the Solution, ready to expose or dump.
-/// let text = solution.telemetry.expose();
-/// assert!(text.contains("tsp_ils_iterations_total"));
-/// assert!(!solution.journal.is_empty());
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct TelemetryOptions {
-    registry: Telemetry,
-    journal: Journal,
-}
-
-impl TelemetryOptions {
-    /// Both handles detached (the default).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh attached registry and journal — the one-liner for "turn
-    /// everything on".
-    pub fn attached() -> Self {
-        TelemetryOptions {
-            registry: Telemetry::attached(),
-            journal: Journal::attached(),
-        }
-    }
-
-    /// Use this metrics-registry handle (share it with a
-    /// [`tsp_telemetry::MetricsServer`] to scrape a live run).
-    pub fn with_registry(mut self, registry: Telemetry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Use this convergence journal.
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = journal;
-        self
-    }
-
-    /// The registry handle.
-    pub fn registry(&self) -> &Telemetry {
-        &self.registry
-    }
-
-    /// The journal handle.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-}
+use tsp_ils::{iterated_local_search, IlsOptions, IlsOutcome, ShardedMultistart, TracePoint};
+use tsp_prof::MemoryReport;
+use tsp_replay::{hash_tour, ReplayEvent};
 
 /// Which local-search engine executes the sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,11 +84,7 @@ pub struct SolverBuilder {
     pub(crate) construction: Construction,
     pub(crate) search: SearchOptions,
     pub(crate) ils: Option<IlsOptions>,
-    pub(crate) timeline: Option<Timeline>,
-    pub(crate) recorder: Option<Recorder>,
-    pub(crate) telemetry: TelemetryOptions,
-    pub(crate) flight: FlightRecorder,
-    pub(crate) prof: Profiler,
+    pub(crate) observer: Observer,
     pub(crate) cancel: CancelToken,
 }
 
@@ -174,11 +102,7 @@ impl Default for SolverBuilder {
             construction: Construction::MultipleFragment,
             search: SearchOptions::default(),
             ils: None,
-            timeline: None,
-            recorder: None,
-            telemetry: TelemetryOptions::default(),
-            flight: FlightRecorder::detached(),
-            prof: Profiler::detached(),
+            observer: Observer::none(),
             cancel: CancelToken::none(),
         }
     }
@@ -262,49 +186,48 @@ impl SolverBuilder {
         self
     }
 
-    /// Attach a profiler timeline (single-device runs only).
-    pub fn timeline(mut self, timeline: Timeline) -> Self {
-        self.timeline = Some(timeline);
-        self
-    }
-
-    /// Attach a structured-event recorder; it receives device events
-    /// (kernels, transfers, stream schedules) and search events
-    /// (sweeps, descents, ILS iterations).
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attach a flight recorder: the run logs every decision needed to
-    /// reproduce it bit-for-bit (start-tour digest, applied moves, RNG
-    /// checkpoints, acceptance verdicts). Package the result with
-    /// [`Solver::recording`] and re-execute it with [`Solver::replay`].
-    pub fn record(mut self, flight: FlightRecorder) -> Self {
-        self.flight = flight;
-        self
-    }
-
-    /// Attach a span profiler and device-memory ledger. The handle is
-    /// wired through every layer the run touches — the facade's
-    /// `solve`/`construct` spans, ILS `ils`/`iteration`/`kick` spans,
-    /// descent `sweep`/`apply_move` spans, device `kernel:*`/`h2d`/
-    /// `d2h` leaves, and every buffer alloc/free/upload on the modeled
-    /// devices — and comes back on [`Solution::prof`] alongside the
-    /// finished [`Solution::memory`] ledger report. Detached (the
-    /// default) it costs one branch per site and the solve is
-    /// bit-identical.
-    pub fn profiler(mut self, prof: Profiler) -> Self {
-        self.prof = prof;
-        self
-    }
-
-    /// Attach live metrics and/or a convergence journal. The handles
-    /// are wired through every layer the run touches — device kernels
-    /// and transfers, pool lanes, search sweeps, ILS iterations — and
-    /// come back on the [`Solution`].
-    pub fn telemetry(mut self, telemetry: TelemetryOptions) -> Self {
-        self.telemetry = telemetry;
+    /// Attach observation sinks. The handles are wired through every
+    /// layer the run touches and come back on [`Solution::observer`]:
+    ///
+    /// * the recorder gets device events (kernels, transfers, stream
+    ///   schedules) and search events (sweeps, descents, ILS iterations);
+    /// * telemetry gets the device, pool-lane, search and ILS metric
+    ///   families, and the journal one record per ILS milestone, stamped
+    ///   with the run id;
+    /// * the flight recorder logs every decision needed to reproduce the
+    ///   run bit-for-bit (start-tour digest, applied moves, RNG
+    ///   checkpoints, acceptance verdicts) — package it with
+    ///   [`Solver::recording`] and re-execute it with [`Solver::replay`];
+    /// * the profiler gets the facade's `solve`/`construct` spans, ILS
+    ///   `ils`/`iteration`/`kick` spans, descent `sweep`/`apply_move`
+    ///   spans, device `kernel:*`/`h2d`/`d2h` leaves and every buffer
+    ///   alloc/free/upload on the modeled devices; the finished ledger
+    ///   comes back on [`Solution::memory`].
+    ///
+    /// This observer replaces whatever [`IlsOptions::observer`] the ILS
+    /// options carry. Detached sinks (the default) cost one branch per
+    /// site, and the solve is bit-identical either way.
+    ///
+    /// ```
+    /// use tsp::prelude::*;
+    ///
+    /// let inst = tsp::tsplib::generate("obs", 48, tsp::tsplib::Style::Uniform, 1);
+    /// let observer = Observer::none()
+    ///     .with_telemetry(Telemetry::attached())
+    ///     .with_journal(Journal::attached());
+    /// let solution = Solver::builder()
+    ///     .ils(IlsOptions::default().with_max_iterations(3u64))
+    ///     .observe(observer)
+    ///     .build()
+    ///     .run(&inst)
+    ///     .unwrap();
+    /// // The handles come back on the Solution, ready to expose or dump.
+    /// let text = solution.observer.telemetry.expose();
+    /// assert!(text.contains("tsp_ils_iterations_total"));
+    /// assert!(!solution.observer.journal.is_empty());
+    /// ```
+    pub fn observe(mut self, observer: Observer) -> Self {
+        self.observer = observer;
         self
     }
 
@@ -347,22 +270,16 @@ pub struct Solution {
     pub trace: Vec<TracePoint>,
     /// Per-device modeled schedules (sharded runs only).
     pub reports: Vec<StreamReport>,
-    /// The run's metrics-registry handle — detached unless one was
-    /// attached via [`SolverBuilder::telemetry`]; expose or snapshot
-    /// it after the run.
-    pub telemetry: Telemetry,
-    /// The run's convergence journal — detached unless one was
-    /// attached via [`SolverBuilder::telemetry`].
-    pub journal: Journal,
+    /// The run's observation sinks, as attached via
+    /// [`SolverBuilder::observe`] (all detached otherwise): expose or
+    /// snapshot the registry, dump the journal, render
+    /// `observer.prof.report()` for the flamegraph and hot paths.
+    pub observer: Observer,
     /// Deterministic run id: a pure function of the instance digest,
     /// the device-spec digest and every solver knob. The same id is
     /// stamped on the journal lines, the recording header and the
     /// profiler artifacts of this run, and never on anything else.
     pub run_id: String,
-    /// The run's span profiler — detached unless one was attached via
-    /// [`SolverBuilder::profiler`]; render `prof.report()` for the
-    /// flamegraph and hot paths.
-    pub prof: Profiler,
     /// Device-memory ledger totals at the end of the run (empty when
     /// no profiler was attached).
     pub memory: MemoryReport,
@@ -374,9 +291,9 @@ impl Solution {
         self.profile.modeled_seconds()
     }
 
-    /// Modeled wall time: the slowest device's makespan on sharded
-    /// runs, otherwise the serial modeled time.
-    pub fn wall_seconds(&self) -> f64 {
+    /// Modeled makespan: the slowest device's modeled wall time on
+    /// sharded runs, otherwise the serial modeled time.
+    pub fn modeled_makespan_seconds(&self) -> f64 {
         if self.reports.is_empty() {
             self.modeled_seconds()
         } else {
@@ -436,13 +353,8 @@ impl Solver {
                 "multi-device / multi-stream runs require the GPU engine".into(),
             ));
         }
-        if pooled && cfg.timeline.is_some() {
-            return Err(TspError::Unsupported(
-                "timelines attach to a single device; use a recorder on pooled runs".into(),
-            ));
-        }
         let run_id = self.run_id(inst);
-        let _solve = cfg.prof.span("solve");
+        let _solve = cfg.observer.prof.span("solve");
         let initial_length = start.length(inst);
 
         if cfg.restarts > 1 || pooled {
@@ -472,8 +384,9 @@ impl Solver {
     /// point `tsp-serve`'s slot pool drives. The builder's pool-shape
     /// knobs must stay at their defaults (`devices == 1 && streams == 1`):
     /// the lane is the caller's, carved from their own [`DevicePool`].
-    /// Timelines are rejected because the device is shared; attach
-    /// telemetry and a profiler to the pool once instead. Tours are
+    /// The lane's device is shared, so the observer's device-side sinks
+    /// are the pool's business (attach them to the pool once); the
+    /// search-level sinks report as usual. Tours are
     /// bit-identical to [`Solver::run`] under the same knobs — restarts
     /// reduce through the same `parallel_multistart` min-by-length rule
     /// the pooled facade pins.
@@ -497,13 +410,8 @@ impl Solver {
         if cfg.restarts == 0 {
             return Err(TspError::Unsupported("restarts must be at least 1".into()));
         }
-        if cfg.timeline.is_some() {
-            return Err(TspError::Unsupported(
-                "timelines attach to a private device; run_on lanes share one".into(),
-            ));
-        }
         let run_id = self.run_id(inst);
-        let _solve = cfg.prof.span("solve");
+        let _solve = cfg.observer.prof.span("solve");
         let start = self.construct(inst, 0);
         let initial_length = start.length(inst);
 
@@ -520,22 +428,15 @@ impl Solver {
         // ILS and/or restarts: the same multistart reduction the pooled
         // facade uses, every chain on this one lane.
         let opts = self.ils_opts(cfg.ils.as_ref().unwrap_or(&IlsOptions::default()), &run_id);
-        let starts: Vec<Tour> = (0..cfg.restarts)
-            .map(|i| {
-                if i == 0 {
-                    start.clone()
-                } else {
-                    self.construct(inst, i as u64)
-                }
-            })
-            .collect();
+        let starts = self.starts(inst, start);
         let (best, chains) = tsp_ils::parallel_multistart(
             || self.gpu_engine_on(GpuTwoOpt::on_stream(device.clone(), stream)),
             inst,
             starts,
             opts,
         )?;
-        Ok(self.stamp(run_id, aggregate_host_chains(best, &chains, initial_length)))
+        let solution = aggregate_chains(best, &chains, initial_length, Vec::new());
+        Ok(self.stamp(run_id, solution))
     }
 
     /// The plain-descent arm shared by `run_from` and `run_on`: one
@@ -549,28 +450,20 @@ impl Solver {
         engine: &mut dyn TwoOptEngine,
     ) -> Result<Solution, TspError> {
         let cfg = &self.cfg;
-        let recorder = cfg.recorder.clone().unwrap_or_else(Recorder::disabled);
-        cfg.flight.record_with(|| ReplayEvent::Start {
+        let flight = &cfg.observer.flight;
+        flight.record_with(|| ReplayEvent::Start {
             tour_hash: hash_tour(&tour),
         });
-        let stats = optimize_profiled(
-            engine,
-            inst,
-            &mut tour,
-            cfg.search,
-            &recorder,
-            cfg.telemetry.registry(),
-            &cfg.flight,
-            &cfg.prof,
-        )?;
-        cfg.flight.record_with(|| ReplayEvent::DescentEnd {
+        let search = cfg.search.clone().with_observer(cfg.observer.clone());
+        let stats = optimize(engine, inst, &mut tour, search)?;
+        flight.record_with(|| ReplayEvent::DescentEnd {
             iteration: 0,
             sweeps: stats.sweeps,
             length: stats.final_length,
             tour_hash: hash_tour(&tour),
             modeled_seconds: stats.profile.modeled_seconds(),
         });
-        cfg.flight.record_with(|| ReplayEvent::Final {
+        flight.record_with(|| ReplayEvent::Final {
             iterations: 0,
             best_length: stats.final_length,
             tour_hash: hash_tour(&tour),
@@ -588,10 +481,8 @@ impl Solver {
                 host_seconds: stats.host_seconds,
                 trace: Vec::new(),
                 reports: Vec::new(),
-                telemetry: Telemetry::detached(),
-                journal: Journal::detached(),
+                observer: Observer::none(),
                 run_id: String::new(),
-                prof: Profiler::detached(),
                 memory: MemoryReport::default(),
             },
         ))
@@ -609,26 +500,14 @@ impl Solver {
     ) -> Result<Solution, TspError> {
         let cfg = &self.cfg;
         let opts = self.ils_opts(cfg.ils.as_ref().unwrap_or(&IlsOptions::default()), run_id);
-        let starts: Vec<Tour> = (0..cfg.restarts)
-            .map(|i| {
-                if i == 0 {
-                    start.clone()
-                } else {
-                    self.construct(inst, i as u64)
-                }
-            })
-            .collect();
+        let starts = self.starts(inst, start);
 
-        match cfg.engine {
+        let (best, chains, reports) = match cfg.engine {
             EngineKind::Gpu => {
                 let mut pool = DevicePool::homogeneous(cfg.spec.clone(), cfg.devices, cfg.streams);
-                if let Some(rec) = &cfg.recorder {
-                    pool.attach_recorder(rec.clone());
-                }
-                pool.attach_telemetry(cfg.telemetry.registry());
-                pool.attach_profiler(&cfg.prof);
-                let sharded = ShardedMultistart::new(pool);
-                let out = sharded.run(
+                let obs = &cfg.observer;
+                pool.attach(&obs.recorder, &obs.telemetry, &obs.prof);
+                let out = ShardedMultistart::new(pool).run(
                     |device, stream| {
                         self.gpu_engine_on(GpuTwoOpt::on_stream(device.clone(), stream))
                     },
@@ -636,79 +515,55 @@ impl Solver {
                     starts,
                     opts,
                 )?;
-                let ShardedOutcome {
-                    best,
-                    chains,
-                    reports,
-                } = out;
-                let mut profile = StepProfile::default();
-                for c in &chains {
-                    profile.accumulate(&c.profile);
-                }
-                let mut solution =
-                    solution_from_outcome(best, initial_length, chains.len(), reports);
-                solution.profile = profile;
-                Ok(self.stamp(run_id.to_string(), solution))
+                (out.best, out.chains, out.reports)
             }
             EngineKind::CpuParallel => {
                 let (best, chains) =
                     tsp_ils::parallel_multistart(CpuParallelTwoOpt::new, inst, starts, opts)?;
-                Ok(self.stamp(
-                    run_id.to_string(),
-                    aggregate_host_chains(best, &chains, initial_length),
-                ))
+                (best, chains, Vec::new())
             }
             EngineKind::Sequential => {
                 let (best, chains) =
                     tsp_ils::parallel_multistart(SequentialTwoOpt::new, inst, starts, opts)?;
-                Ok(self.stamp(
-                    run_id.to_string(),
-                    aggregate_host_chains(best, &chains, initial_length),
-                ))
+                (best, chains, Vec::new())
             }
-        }
+        };
+        let solution = aggregate_chains(best, &chains, initial_length, reports);
+        Ok(self.stamp(run_id.to_string(), solution))
     }
 
-    /// The configured ILS options plus the facade-level recorder and
-    /// observability handles; the journal handle is stamped with the
-    /// run id so every journal line correlates with this run.
+    /// One start tour per chain: `start` for chain 0, a fresh
+    /// construction for every other chain.
+    fn starts(&self, inst: &Instance, start: Tour) -> Vec<Tour> {
+        let mut starts = vec![start];
+        starts.extend((1..self.cfg.restarts).map(|i| self.construct(inst, i as u64)));
+        starts
+    }
+
+    /// The configured ILS options plus the facade's observer, whose
+    /// journal is stamped with the run id so every journal line
+    /// correlates with this run.
     fn ils_opts(&self, opts: &IlsOptions, run_id: &str) -> IlsOptions {
-        let mut opts = opts.clone();
-        if let Some(rec) = &self.cfg.recorder {
-            opts = opts.with_recorder(rec.clone());
-        }
-        opts.with_telemetry(self.cfg.telemetry.registry().clone())
-            .with_journal(self.cfg.telemetry.journal().with_run_id(run_id))
-            .with_flight(self.cfg.flight.clone())
-            .with_prof(self.cfg.prof.clone())
+        opts.clone()
+            .with_observer(self.cfg.observer.with_run_id(run_id))
             .with_cancel(self.cfg.cancel.clone())
     }
 
     /// Hand the run's observability handles back on the solution.
     fn stamp(&self, run_id: String, mut solution: Solution) -> Solution {
-        solution.telemetry = self.cfg.telemetry.registry().clone();
-        solution.journal = self.cfg.telemetry.journal().clone();
+        solution.observer = self.cfg.observer.clone();
         solution.run_id = run_id;
-        solution.prof = self.cfg.prof.clone();
-        solution.memory = self.cfg.prof.memory_report();
+        solution.memory = self.cfg.observer.prof.memory_report();
         solution
     }
 
     /// One engine on a private device (serial path).
     fn single_engine(&self) -> Box<dyn TwoOptEngine> {
         match self.cfg.engine {
-            EngineKind::Gpu => {
-                let mut engine = self.gpu_engine_on(GpuTwoOpt::new(self.cfg.spec.clone()));
-                if let Some(tl) = &self.cfg.timeline {
-                    engine = engine.with_timeline(tl.clone());
-                }
-                if let Some(rec) = &self.cfg.recorder {
-                    engine = engine.with_recorder(rec.clone());
-                }
-                engine = engine.with_telemetry(self.cfg.telemetry.registry());
-                engine = engine.with_profiler(&self.cfg.prof);
-                Box::new(engine)
-            }
+            EngineKind::Gpu => Box::new(
+                self.gpu_engine_on(GpuTwoOpt::new(self.cfg.spec.clone()))
+                    .with_observer(&self.cfg.observer),
+            ),
             EngineKind::CpuParallel => Box::new(CpuParallelTwoOpt::new()),
             EngineKind::Sequential => Box::new(SequentialTwoOpt::new()),
         }
@@ -728,7 +583,7 @@ impl Solver {
 
     /// Build chain `i`'s initial tour.
     pub(crate) fn construct(&self, inst: &Instance, chain: u64) -> Tour {
-        let _construct = self.cfg.prof.span("construct");
+        let _construct = self.cfg.observer.prof.span("construct");
         match self.cfg.construction {
             Construction::MultipleFragment => multiple_fragment(inst),
             Construction::NearestNeighbor => nearest_neighbor(inst, 0),
@@ -758,20 +613,24 @@ fn solution_from_outcome(
         host_seconds: outcome.host_seconds,
         trace: outcome.trace,
         reports,
-        telemetry: Telemetry::detached(),
-        journal: Journal::detached(),
+        observer: Observer::none(),
         run_id: String::new(),
-        prof: Profiler::detached(),
         memory: MemoryReport::default(),
     }
 }
 
-fn aggregate_host_chains(best: IlsOutcome, chains: &[IlsOutcome], initial_length: i64) -> Solution {
+/// The best chain's solution, with the profile summed over every chain.
+fn aggregate_chains(
+    best: IlsOutcome,
+    chains: &[IlsOutcome],
+    initial_length: i64,
+    reports: Vec<StreamReport>,
+) -> Solution {
     let mut profile = StepProfile::default();
     for c in chains {
         profile.accumulate(&c.profile);
     }
-    let mut solution = solution_from_outcome(best, initial_length, chains.len(), Vec::new());
+    let mut solution = solution_from_outcome(best, initial_length, chains.len(), reports);
     solution.profile = profile;
     solution
 }
@@ -852,8 +711,8 @@ mod tests {
             .unwrap();
         assert_eq!(s.chains, 6);
         assert_eq!(s.reports.len(), 2);
-        assert!(s.wall_seconds() > 0.0);
-        assert!(s.wall_seconds() < s.modeled_seconds());
+        assert!(s.modeled_makespan_seconds() > 0.0);
+        assert!(s.modeled_makespan_seconds() < s.modeled_seconds());
         s.tour.validate().unwrap();
     }
 
@@ -883,11 +742,15 @@ mod tests {
             .devices(2)
             .streams(2)
             .restarts(4)
-            .telemetry(TelemetryOptions::attached())
+            .observe(
+                Observer::none()
+                    .with_telemetry(tsp_telemetry::Telemetry::attached())
+                    .with_journal(tsp_telemetry::Journal::attached()),
+            )
             .build()
             .run(&inst)
             .unwrap();
-        let reg = s.telemetry.registry().unwrap();
+        let reg = s.observer.telemetry.registry().unwrap();
         // Every layer reported: devices, pool lanes, sweeps, ILS.
         for family in [
             "tsp_gpu_kernel_launches_total",
@@ -905,9 +768,14 @@ mod tests {
             Some(3.0 * 4.0)
         );
         // Journal: 4 chains, each with Initial + 3 iterations + Final.
-        assert_eq!(s.journal.len(), 4 * 5);
-        let chains: std::collections::BTreeSet<u64> =
-            s.journal.records().iter().map(|r| r.chain).collect();
+        assert_eq!(s.observer.journal.len(), 4 * 5);
+        let chains: std::collections::BTreeSet<u64> = s
+            .observer
+            .journal
+            .records()
+            .iter()
+            .map(|r| r.chain)
+            .collect();
         assert_eq!(chains.len(), 4);
 
         // A telemetry-free run of the same configuration is untouched
@@ -923,9 +791,12 @@ mod tests {
             .unwrap();
         assert_eq!(plain.tour.as_slice(), s.tour.as_slice());
         assert_eq!(plain.length, s.length);
-        assert_eq!(plain.wall_seconds().to_bits(), s.wall_seconds().to_bits());
-        assert!(!plain.telemetry.is_enabled());
-        assert!(!plain.journal.is_enabled());
+        assert_eq!(
+            plain.modeled_makespan_seconds().to_bits(),
+            s.modeled_makespan_seconds().to_bits()
+        );
+        assert!(!plain.observer.telemetry.is_enabled());
+        assert!(!plain.observer.journal.is_enabled());
     }
 
     #[test]

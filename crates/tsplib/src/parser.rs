@@ -336,6 +336,19 @@ EOF
     }
 
     #[test]
+    fn rejects_coordinates_past_the_f32_range() {
+        // 1e39 parses as an f64 but is infinite once stored as f32.
+        for bad in ["2 1e39 10.0", "2 0.0 -1e39", "2 NaN 10.0", "2 inf 10.0"] {
+            let text = SQUARE.replace("2 0.0 10.0", bad);
+            let err = parse(&text).unwrap_err();
+            assert!(
+                matches!(&err, TsplibError::Invalid(msg) if msg.contains("city 1 has a non-finite coordinate")),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_garbage_coordinates() {
         let text = SQUARE.replace("2 0.0 10.0", "2 zero ten");
         let err = parse(&text).unwrap_err();

@@ -37,7 +37,11 @@ fn main() {
                 .with_max_iterations(iterations)
                 .with_seed(0x2013),
         )
-        .telemetry(TelemetryOptions::attached())
+        .observe(
+            Observer::none()
+                .with_telemetry(Telemetry::attached())
+                .with_journal(Journal::attached()),
+        )
         .build()
         .run(&inst)
         .expect("generated instances are coordinate-based");
@@ -47,7 +51,11 @@ fn main() {
     );
 
     // --- Registry self-validation ------------------------------------
-    let registry = solution.telemetry.registry().expect("telemetry attached");
+    let registry = solution
+        .observer
+        .telemetry
+        .registry()
+        .expect("telemetry attached");
     let rate = registry
         .gauge_value("tsp_ils_acceptance_rate")
         .expect("acceptance-rate gauge present");
@@ -71,7 +79,7 @@ fn main() {
     assert!(sweeps > 0.0, "descents must have swept");
 
     // --- Journal self-validation -------------------------------------
-    let records = solution.journal.records();
+    let records = solution.observer.journal.records();
     assert!(!records.is_empty(), "journal must not be empty");
     for w in records.windows(2) {
         assert!(
@@ -90,7 +98,7 @@ fn main() {
         "journal's final record must carry the solution length"
     );
 
-    std::fs::write(&out, solution.journal.to_jsonl())
+    std::fs::write(&out, solution.observer.journal.to_jsonl())
         .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(
         "wrote {out} ({} records); acceptance rate {rate:.2}, {sweeps} sweeps",
@@ -98,5 +106,5 @@ fn main() {
     );
 
     // Full exposition, ready for any Prometheus scraper.
-    print!("\n{}", solution.telemetry.expose());
+    print!("\n{}", solution.observer.telemetry.expose());
 }

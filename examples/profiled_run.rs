@@ -1,7 +1,10 @@
 //! Profile a full ILS solve end to end and emit the correlated artifact
 //! set DESIGN.md §13 describes: a collapsed-stack flamegraph, the
 //! device-memory ledger report, and a `manifest.json` that ties both to
-//! the run's deterministic `run_id`.
+//! the run's deterministic `run_id`. A trace recorder watches the same
+//! run, and its metrics snapshot prints the `nvprof`-style per-kernel
+//! table and the PCIe transfer share of the modeled device time — the
+//! copy proportion the paper observes shrinking as the problem grows.
 //!
 //! ```text
 //! cargo run --release -p tsp-apps --example profiled_run -- [n] [out_dir]
@@ -21,6 +24,7 @@ use std::fs;
 use std::path::Path;
 
 use tsp::prelude::*;
+use tsp::trace::MetricsSnapshot;
 use tsp_tsplib::{generate, Style};
 
 fn main() {
@@ -30,10 +34,14 @@ fn main() {
     let inst = generate("profiled", n, Style::Uniform, 0x2013);
 
     let prof = Profiler::attached();
+    let recorder = Recorder::enabled();
     let mut ils = IlsOptions::default();
     ils.max_iterations = Some(8);
     ils.seed = 7;
-    let solver = Solver::builder().ils(ils).profiler(prof.clone()).build();
+    let observer = Observer::none()
+        .with_prof(prof.clone())
+        .with_recorder(recorder.clone());
+    let solver = Solver::builder().ils(ils).observe(observer).build();
     let solution = solver.run(&inst).expect("solve succeeds");
 
     println!(
@@ -80,6 +88,8 @@ fn main() {
     assert_eq!(parsed.path_of("flamegraph"), Some("flamegraph.folded"));
     fs::write(out.join("manifest.json"), &manifest_json).expect("write manifest");
 
+    let snapshot = MetricsSnapshot::from_events(&recorder.events());
+    print!("\n{}", snapshot.to_text());
     println!("\nhot paths (modeled time, self):");
     print!("{}", report.render_hot(5));
     println!("\nmemory ledger at solve time (resident buffers still live):");

@@ -23,7 +23,7 @@ fn solver(flight: FlightRecorder) -> Solver {
                 .with_max_iterations(8u64)
                 .with_seed(2026),
         )
-        .record(flight)
+        .observe(Observer::none().with_flight(flight))
         .build()
 }
 

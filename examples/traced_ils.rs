@@ -46,8 +46,12 @@ fn main() {
         .devices(2)
         .streams(2)
         .restarts(4)
-        .recorder(recorder.clone())
-        .telemetry(TelemetryOptions::attached())
+        .observe(
+            Observer::none()
+                .with_recorder(recorder.clone())
+                .with_telemetry(Telemetry::attached())
+                .with_journal(Journal::attached()),
+        )
         .build()
         .run(&inst)
         .expect("generated instances are coordinate-based");
@@ -57,7 +61,7 @@ fn main() {
     );
     println!(
         "modeled wall {:.3} ms over {} devices, stream overlap {:.1}%",
-        solution.wall_seconds() * 1e3,
+        solution.modeled_makespan_seconds() * 1e3,
         solution.reports.len(),
         solution.overlap() * 100.0
     );
@@ -100,7 +104,7 @@ fn main() {
     // Telemetry smoke: serve the run's registry on a loopback port,
     // scrape it once over real HTTP, and validate the payload as
     // Prometheus text format 0.0.4.
-    let server = MetricsServer::spawn(solution.telemetry.clone(), "127.0.0.1:0")
+    let server = MetricsServer::spawn(solution.observer.telemetry.clone(), "127.0.0.1:0")
         .expect("bind a loopback metrics port");
     let (status, body) = tsp::telemetry::http_get(server.addr(), "/metrics").expect("self-scrape");
     assert_eq!(status, 200, "metrics endpoint must answer 200");

@@ -8,14 +8,13 @@
 //! write back into the solve.
 
 use gpu_sim::spec;
-use tsp_2opt::{optimize, optimize_observed, GpuTwoOpt, SearchOptions, Strategy, TwoOptEngine};
+use tsp_2opt::{optimize, GpuTwoOpt, Observer, SearchOptions, Strategy, TwoOptEngine};
 use tsp_core::Tour;
 use tsp_ils::{iterated_local_search, IlsOptions};
 use tsp_prof::Profiler;
 use tsp_serve::api::{JobState, JobStatus, SolveRequest};
 use tsp_serve::{AlertConfig, ServiceConfig, SolveService};
 use tsp_telemetry::{AlertEngine, AlertRule, Cmp, Selector, Severity, Telemetry};
-use tsp_trace::Recorder;
 use tsp_tsplib::{generate, writer, Style};
 
 fn scrambled_tour(n: usize) -> Tour {
@@ -86,7 +85,7 @@ fn alert_evaluation_is_invisible_to_every_strategy() {
 
         let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda())
             .with_strategy(strategy)
-            .with_telemetry(&telemetry);
+            .with_observer(&Observer::none().with_telemetry(telemetry.clone()));
         let (mv_observed, p_observed) = observed.best_move(&inst, &tour).unwrap();
 
         // Checkpoint evaluations after the kernel ran, journalling
@@ -142,18 +141,17 @@ fn alert_evaluation_is_invisible_to_descent_and_ils() {
         // --- observed: registry attached, engine evaluated between --
         let telemetry = Telemetry::attached();
         let registry = telemetry.registry().unwrap();
+        let observer = Observer::none().with_telemetry(telemetry.clone());
         let mut engine = fleet_rules();
         let mut t_observed = start.clone();
         let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda())
             .with_strategy(strategy)
-            .with_telemetry(&telemetry);
-        let b = optimize_observed(
+            .with_observer(&observer);
+        let b = optimize(
             &mut observed,
             &inst,
             &mut t_observed,
-            SearchOptions::default(),
-            &Recorder::disabled(),
-            &telemetry,
+            SearchOptions::new().with_observer(observer),
         )
         .unwrap();
 

@@ -169,7 +169,9 @@ fn candidate_ils_replays_bit_identically_with_rng_checkpoints() {
                 )
         };
         let flight = FlightRecorder::attached();
-        let solver = build().record(flight).build();
+        let solver = build()
+            .observe(Observer::none().with_flight(flight))
+            .build();
         let ran = solver.run(&inst).unwrap();
         let recording = solver.recording(&inst).unwrap();
 

@@ -101,18 +101,18 @@ fn tour_file_round_trips_a_solved_tour() {
 #[test]
 fn timeline_observes_a_whole_vnd_run() {
     let inst = generate("timeline", 80, Style::Uniform, 6);
-    let timeline = gpu_sim::Timeline::new();
-    let mut two = tsp_2opt::GpuTwoOpt::new(spec::gtx_680_cuda()).with_timeline(timeline.clone());
+    let recorder = tsp_trace::Recorder::enabled();
+    let observer = tsp_2opt::Observer::none().with_recorder(recorder.clone());
+    let mut two = tsp_2opt::GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
     let mut or = GpuOrOpt::new(spec::gtx_680_cuda());
     let mut tour = multiple_fragment(&inst);
     let stats = vnd::optimize_vnd(&mut two, &mut or, &inst, &mut tour).unwrap();
     // Every 2-opt sweep produced one kernel + two transfers.
-    let events = timeline.events();
-    let kernels = events
-        .iter()
-        .filter(|e| matches!(e, gpu_sim::Event::Kernel { .. }))
-        .count();
-    assert!(kernels as u64 >= stats.two_opt_moves);
-    assert_eq!(events.len(), kernels * 3);
-    assert!(timeline.total_seconds() > 0.0);
+    let snapshot = tsp_trace::MetricsSnapshot::from_events(&recorder.events());
+    let kernels: u64 = snapshot.kernels.iter().map(|k| k.calls).sum();
+    assert!(kernels >= stats.two_opt_moves);
+    assert_eq!(snapshot.h2d.calls, kernels);
+    assert_eq!(snapshot.d2h.calls, kernels);
+    assert!(snapshot.kernel_seconds() > 0.0);
+    assert!(snapshot.transfer_share() > 0.0);
 }

@@ -26,7 +26,7 @@ fn solver_for(strategy: Kernel, prof: Profiler, ils: Option<IlsOptions>) -> Solv
     let mut b = Solver::builder()
         .construction(Construction::Identity)
         .strategy(strategy)
-        .profiler(prof);
+        .observe(Observer::none().with_prof(prof));
     if let Some(opts) = ils {
         b = b.ils(opts);
     }
@@ -64,7 +64,7 @@ fn assert_inert(inst: &tsp_core::Instance, strategy: Kernel, ils: Option<IlsOpti
     // The attached run actually observed something…
     assert!(prof.span_count() > 0, "no spans recorded for {strategy:?}");
     // …and the detached run left nothing behind.
-    assert!(plain.prof.report().spans.is_empty());
+    assert!(plain.observer.prof.report().spans.is_empty());
     assert!(plain.memory.peak_bytes(0).is_none());
 }
 

@@ -23,6 +23,13 @@ fn builder(strategy: Strategy) -> SolverBuilder {
         .construction(Construction::Random(5))
 }
 
+/// The solver with `flight` attached as its only sink.
+fn recorded(builder: SolverBuilder, flight: FlightRecorder) -> Solver {
+    builder
+        .observe(Observer::none().with_flight(flight))
+        .build()
+}
+
 fn ils_opts() -> IlsOptions {
     IlsOptions::default()
         .with_max_iterations(4u64)
@@ -34,7 +41,7 @@ fn descent_replays_bit_identically_on_every_strategy() {
     let inst = generate("rep-descent", 128, Style::Uniform, 3);
     for strategy in strategies() {
         let flight = FlightRecorder::attached();
-        let solver = builder(strategy).record(flight).build();
+        let solver = recorded(builder(strategy), flight);
         let ran = solver.run(&inst).unwrap();
         let recording = solver.recording(&inst).unwrap();
         // A plain descent records Start, the applied moves, DescentEnd,
@@ -63,7 +70,7 @@ fn ils_replays_bit_identically_on_every_strategy() {
     let inst = generate("rep-ils", 96, Style::Clustered { clusters: 4 }, 7);
     for strategy in strategies() {
         let flight = FlightRecorder::attached();
-        let solver = builder(strategy).ils(ils_opts()).record(flight).build();
+        let solver = recorded(builder(strategy).ils(ils_opts()), flight);
         let ran = solver.run(&inst).unwrap();
         let recording = solver.recording(&inst).unwrap();
         // Every iteration logged its kick and its acceptance verdict.
@@ -111,22 +118,22 @@ fn recording_is_invisible_to_the_run() {
             .build()
             .run(&inst)
             .unwrap();
-        let recorded = builder(strategy)
-            .ils(ils_opts())
-            .record(FlightRecorder::attached())
-            .build()
-            .run(&inst)
-            .unwrap();
+        let watched = recorded(
+            builder(strategy).ils(ils_opts()),
+            FlightRecorder::attached(),
+        )
+        .run(&inst)
+        .unwrap();
         assert_eq!(
             plain.tour.as_slice(),
-            recorded.tour.as_slice(),
+            watched.tour.as_slice(),
             "{strategy:?}"
         );
-        assert_eq!(plain.length, recorded.length, "{strategy:?}");
-        assert_eq!(plain.iterations, recorded.iterations, "{strategy:?}");
+        assert_eq!(plain.length, watched.length, "{strategy:?}");
+        assert_eq!(plain.iterations, watched.iterations, "{strategy:?}");
         assert_eq!(
             plain.modeled_seconds().to_bits(),
-            recorded.modeled_seconds().to_bits(),
+            watched.modeled_seconds().to_bits(),
             "{strategy:?}"
         );
     }
@@ -144,7 +151,7 @@ fn sharded_multistart_replays_chain_stamped_sublogs() {
             .ils(ils_opts())
     };
     let flight = FlightRecorder::attached();
-    let solver = build().record(flight).build();
+    let solver = recorded(build(), flight);
     let ran = solver.run(&inst).unwrap();
     assert_eq!(ran.chains, 4);
     let recording = solver.recording(&inst).unwrap();
@@ -185,7 +192,7 @@ fn bisector_localizes_a_flipped_acceptance_to_its_event() {
         )
     };
     let flight = FlightRecorder::attached();
-    let solver = build().record(flight).build();
+    let solver = recorded(build(), flight);
     solver.run(&inst).unwrap();
     let recording = solver.recording(&inst).unwrap();
     let fresh = build().build();

@@ -106,7 +106,7 @@ fn real_shared_kernel_sits_compute_bound_on_the_gtx_680() {
     let recorder = Recorder::enabled();
     let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda())
         .with_strategy(Strategy::Shared)
-        .with_recorder(recorder.clone());
+        .with_observer(&tsp_2opt::Observer::none().with_recorder(recorder.clone()));
     engine.best_move(&inst, &Tour::identity(512)).unwrap();
 
     let report = RooflineReport::from_events(&recorder.events()).unwrap();

@@ -8,7 +8,7 @@
 use gpu_sim::{spec, DevicePool};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tsp_2opt::{GpuTwoOpt, Strategy};
+use tsp_2opt::{GpuTwoOpt, Observer, Strategy};
 use tsp_core::Tour;
 use tsp_ils::{parallel_multistart, IlsOptions, ShardedMultistart};
 use tsp_telemetry::{Journal, JournalEvent};
@@ -138,10 +138,10 @@ fn second_stream_strictly_reduces_modeled_wall_time_when_transfer_bound() {
     assert_eq!(serial.overlap(), 0.0, "one stream cannot overlap");
     assert!(dual.overlap() > 0.0, "two streams must overlap");
     assert!(
-        dual.wall_seconds() < serial.wall_seconds(),
+        dual.modeled_makespan_seconds() < serial.modeled_makespan_seconds(),
         "2 streams ({}) must beat 1 stream ({})",
-        dual.wall_seconds(),
-        serial.wall_seconds()
+        dual.modeled_makespan_seconds(),
+        serial.modeled_makespan_seconds()
     );
     // Identical chains => identical total submitted work.
     let rel = (dual.busy_seconds() - serial.busy_seconds()).abs() / serial.busy_seconds();
@@ -164,7 +164,7 @@ fn journal_chain_ids_stay_dense_with_more_chains_than_lanes() {
     let opts = IlsOptions::new()
         .with_max_iterations(iterations)
         .with_seed(0x91)
-        .with_journal(journal.clone());
+        .with_observer(Observer::none().with_journal(journal.clone()));
 
     let pool = DevicePool::homogeneous(spec::gtx_680_cuda(), 2, 2);
     let out = ShardedMultistart::new(pool)

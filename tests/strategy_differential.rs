@@ -168,7 +168,7 @@ fn device_resident_descent_tracks_serial_descent() {
 
     let mut t_serial = scrambled_tour(n);
     let mut serial = GpuTwoOpt::new(spec::gtx_680_cuda());
-    let a = optimize(&mut serial, &inst, &mut t_serial, opts).unwrap();
+    let a = optimize(&mut serial, &inst, &mut t_serial, opts.clone()).unwrap();
 
     let mut t_resident = scrambled_tour(n);
     let mut resident = GpuTwoOpt::new(spec::gtx_680_cuda()).with_strategy(Strategy::DeviceResident);

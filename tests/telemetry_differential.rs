@@ -5,9 +5,11 @@
 //! histograms must agree *exactly* with the [`MetricsSnapshot`]
 //! aggregates computed from a recorder watching the same run, because
 //! both fold the same f64 observations in the same order.
+//! `observer_differential.rs` repeats the invisibility checks with
+//! every other sink attached at once.
 
 use gpu_sim::spec;
-use tsp_2opt::{optimize, optimize_observed, GpuTwoOpt, SearchOptions, Strategy, TwoOptEngine};
+use tsp_2opt::{optimize, GpuTwoOpt, Observer, SearchOptions, Strategy, TwoOptEngine};
 use tsp_core::Tour;
 use tsp_ils::{iterated_local_search, IlsOptions};
 use tsp_telemetry::{parse_text, Journal, Telemetry};
@@ -45,7 +47,7 @@ fn telemetry_is_invisible_to_every_strategy() {
         let telemetry = Telemetry::attached();
         let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda())
             .with_strategy(strategy)
-            .with_telemetry(&telemetry);
+            .with_observer(&Observer::none().with_telemetry(telemetry.clone()));
         let (mv_observed, p_observed) = observed.best_move(&inst, &tour).unwrap();
 
         assert_eq!(mv_plain, mv_observed, "{strategy:?}");
@@ -74,15 +76,14 @@ fn telemetry_is_invisible_to_a_full_descent() {
     let a = optimize(&mut plain, &inst, &mut t_plain, SearchOptions::default()).unwrap();
 
     let telemetry = Telemetry::attached();
+    let observer = Observer::none().with_telemetry(telemetry.clone());
     let mut t_observed = scrambled_tour(n);
-    let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda()).with_telemetry(&telemetry);
-    let b = optimize_observed(
+    let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
+    let b = optimize(
         &mut observed,
         &inst,
         &mut t_observed,
-        SearchOptions::default(),
-        &Recorder::disabled(),
-        &telemetry,
+        SearchOptions::new().with_observer(observer),
     )
     .unwrap();
 
@@ -110,13 +111,13 @@ fn telemetry_is_invisible_to_ils_on_every_strategy() {
 
         let telemetry = Telemetry::attached();
         let journal = Journal::attached();
-        let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda())
-            .with_strategy(strategy)
-            .with_telemetry(&telemetry);
-        let observed_opts = opts
-            .clone()
+        let observer = Observer::none()
             .with_telemetry(telemetry.clone())
             .with_journal(journal.clone());
+        let mut observed = GpuTwoOpt::new(spec::gtx_680_cuda())
+            .with_strategy(strategy)
+            .with_observer(&observer);
+        let observed_opts = opts.clone().with_observer(observer);
         let b = iterated_local_search(&mut observed, &inst, start.clone(), observed_opts).unwrap();
 
         assert_eq!(a.best_length, b.best_length, "{strategy:?}");
@@ -142,17 +143,16 @@ fn histograms_agree_exactly_with_the_metrics_snapshot() {
     let inst = generate("tel-exact", n, Style::Uniform, 6);
     let recorder = Recorder::enabled();
     let telemetry = Telemetry::attached();
-    let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda())
+    let observer = Observer::none()
         .with_recorder(recorder.clone())
-        .with_telemetry(&telemetry);
+        .with_telemetry(telemetry.clone());
+    let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
     let mut tour = scrambled_tour(n);
-    optimize_observed(
+    optimize(
         &mut engine,
         &inst,
         &mut tour,
-        SearchOptions::default(),
-        &recorder,
-        &telemetry,
+        SearchOptions::new().with_observer(observer),
     )
     .unwrap();
 

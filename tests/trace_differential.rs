@@ -2,12 +2,12 @@
 //! [`Recorder`] must never change what the engines compute — identical
 //! moves, bit-identical modeled times — and the metrics derived from
 //! the event stream must agree bit-for-bit with the analytic model.
+//! `observer_differential.rs` repeats the invisibility checks with
+//! every other sink attached at once.
 
 use gpu_sim::spec;
 use tsp_2opt::gpu::model::{model_auto_sweep, ModeledSweep};
-use tsp_2opt::{
-    optimize, optimize_with_recorder, GpuTwoOpt, SearchOptions, Strategy, TwoOptEngine,
-};
+use tsp_2opt::{optimize, GpuTwoOpt, Observer, SearchOptions, Strategy, TwoOptEngine};
 use tsp_construction::multiple_fragment;
 use tsp_core::Tour;
 use tsp_ils::{iterated_local_search, IlsOptions};
@@ -43,7 +43,7 @@ fn tracing_is_invisible_to_every_strategy() {
         let recorder = Recorder::enabled();
         let mut traced = GpuTwoOpt::new(spec::gtx_680_cuda())
             .with_strategy(strategy)
-            .with_recorder(recorder.clone());
+            .with_observer(&Observer::none().with_recorder(recorder.clone()));
         let (mv_traced, p_traced) = traced.best_move(&inst, &tour).unwrap();
 
         assert_eq!(mv_plain, mv_traced, "{strategy:?}");
@@ -73,14 +73,14 @@ fn tracing_is_invisible_to_a_full_descent() {
     let a = optimize(&mut plain, &inst, &mut t_plain, SearchOptions::default()).unwrap();
 
     let recorder = Recorder::enabled();
+    let observer = Observer::none().with_recorder(recorder.clone());
     let mut t_traced = scrambled_tour(n);
-    let mut traced = GpuTwoOpt::new(spec::gtx_680_cuda()).with_recorder(recorder.clone());
-    let b = optimize_with_recorder(
+    let mut traced = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
+    let b = optimize(
         &mut traced,
         &inst,
         &mut t_traced,
-        SearchOptions::default(),
-        &recorder,
+        SearchOptions::new().with_observer(observer),
     )
     .unwrap();
 
@@ -108,8 +108,9 @@ fn tracing_is_invisible_to_ils() {
     let a = iterated_local_search(&mut plain, &inst, start.clone(), opts.clone()).unwrap();
 
     let recorder = Recorder::enabled();
-    let mut traced = GpuTwoOpt::new(spec::gtx_680_cuda()).with_recorder(recorder.clone());
-    let traced_opts = opts.with_recorder(recorder.clone());
+    let observer = Observer::none().with_recorder(recorder.clone());
+    let mut traced = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
+    let traced_opts = opts.with_observer(observer);
     let b = iterated_local_search(&mut traced, &inst, start, traced_opts).unwrap();
 
     assert_eq!(a.best_length, b.best_length);
@@ -119,6 +120,7 @@ fn tracing_is_invisible_to_ils() {
         a.profile.modeled_seconds().to_bits(),
         b.profile.modeled_seconds().to_bits()
     );
+    assert!(!recorder.events().is_empty());
 }
 
 #[test]
@@ -133,7 +135,7 @@ fn metrics_gflops_matches_the_analytic_model_bit_for_bit() {
     let recorder = Recorder::enabled();
     let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda())
         .with_strategy(Strategy::Shared)
-        .with_recorder(recorder.clone());
+        .with_observer(&Observer::none().with_recorder(recorder.clone()));
     let (_, profile) = engine.best_move(&inst, &tour).unwrap();
 
     let snapshot = MetricsSnapshot::from_events(&recorder.events());
@@ -169,11 +171,12 @@ fn thousand_city_ils_trace_covers_every_event_kind_and_exports() {
     let recorder = Recorder::enabled();
     let inst = generate("trace-1000", n, Style::Clustered { clusters: 8 }, 5);
     let start = multiple_fragment(&inst);
-    let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_recorder(recorder.clone());
+    let observer = Observer::none().with_recorder(recorder.clone());
+    let mut engine = GpuTwoOpt::new(spec::gtx_680_cuda()).with_observer(&observer);
     let opts = IlsOptions::new()
         .with_max_iterations(2u64)
         .with_seed(5)
-        .with_recorder(recorder.clone());
+        .with_observer(observer);
     iterated_local_search(&mut engine, &inst, start, opts).unwrap();
 
     let events = recorder.events();
